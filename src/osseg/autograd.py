@@ -59,10 +59,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        """A constant tensor sharing this tensor's data."""
-        return Tensor(self.data)
-
     def backward(self):
         backward(self)
 

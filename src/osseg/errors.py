@@ -43,7 +43,7 @@ class ContractError(OssegError):
     """A call violates an API precondition (e.g. missing pseudo-label)."""
 
 
-class EmptyLabelError(ArgumentError):
+class EmptyLabelError(ValidationError):
     """A label map contains no usable (non-ignore) pixels."""
 
 

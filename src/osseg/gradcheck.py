@@ -1,9 +1,10 @@
 """Finite-difference verification of every backward rule and loss gradient.
 
 Runs at 8x8 / 3-class scale: first each tensor op's gradient of a random
-scalar projection, then the gradient of the three training losses with
-respect to every parameter tensor of a small model. Central differences
-throughout; errors are norm-relative.
+scalar projection, then the gradient of the three training losses, and of
+their weighted sum over shared forward traces as a train step builds it,
+with respect to every parameter tensor of a small model. Central
+differences throughout; errors are norm-relative.
 """
 
 from collections import OrderedDict
@@ -24,7 +25,7 @@ from .segmodel import (
 )
 from .styletransfer import FdaConfig, fda_stylize
 from .synthdata import DomainSample, DomainTag
-from .trainer import pseudo_label
+from .trainer import TrainConfig, pseudo_label
 
 GATE = 1e-3
 
@@ -124,13 +125,28 @@ def _loss_setup(seed):
     )
     mixed = mixer.mix(pair, mask)
     bias = build_class_bias(3, sampled.classes)
+
+    def cross(main, cond):
+        return forward_cross(student, main, cond, bias, AttentionPairing.OURS_PT_TO_INTERMEDIATE)
+
+    def l_step():
+        # As in train_step: l_pt and the conditioning branch share the
+        # pseudo-target trace, l_idr and the main branch the mixed trace.
+        pt = forward(student, pt_img)
+        mix = forward(student, mixed.image)
+        l_cd = cross_entropy_pixelwise(cross(mix, pt).logits, mixed.label)
+        return ag.add(
+            ag.add(cross_entropy_pixelwise(pt.logits, y_i),
+                   cross_entropy_pixelwise(mix.logits, mixed.label)),
+            ag.scale(l_cd, TrainConfig.lambda_cd),
+        )
+
     losses = OrderedDict([
         ("l_pt", lambda: cross_entropy_pixelwise(forward(student, pt_img).logits, y_i)),
         ("l_idr", lambda: cross_entropy_pixelwise(forward(student, mixed.image).logits, mixed.label)),
         ("l_cd", lambda: cross_entropy_pixelwise(
-            forward_cross(student, mixed.image, pt_img, bias,
-                          AttentionPairing.OURS_PT_TO_INTERMEDIATE).logits,
-            mixed.label)),
+            cross(forward(student, mixed.image), forward(student, pt_img)).logits, mixed.label)),
+        ("l_step", l_step),
     ])
     return student, losses
 

@@ -324,17 +324,22 @@ def forward_identity_token_attention(params, img):
     return ForwardTrace(f_img, e_pixel, layer_tokens, e_class, _logits(e_class, e_pixel))
 
 
-def forward_cross(params, img_m, img_pt, bias, pairing):
-    """Cross-domain forward pass.
+def forward_cross(params, main, cond, bias, pairing):
+    """Cross-domain decoder pass over two existing forward traces.
 
-    `img_m` is the main branch (it supplies keys, values, the pixel path and
-    the logits); `img_pt` is the conditioning branch, run through a standard
-    forward, whose per-layer token states provide the queries. Each decoder
-    layer's token self-attention is replaced by class-aware cross-domain
-    attention with the given bias. Queries use the same learned projection
-    as the self-attention path.
+    `main` is the trace of the main branch: its image features supply the
+    keys and values of the image cross-attention, and its pixel embeddings
+    the logits. `cond` is the trace of the conditioning branch: the token
+    state entering each of its layers' token-attention steps provides that
+    layer's queries. Each decoder layer's token self-attention is replaced
+    by class-aware cross-domain attention with the given bias. Queries use
+    the same learned projection as the self-attention path.
 
-    The caller chooses which images occupy the two slots: the main branch is
+    Only the decoder runs here: the backbone and pixel decoder of both
+    branches are those already recorded in the traces, which other loss
+    terms may share.
+
+    The caller chooses which traces occupy the two slots: the main branch is
     the intermediate image for OURS_PT_TO_INTERMEDIATE and VARIANT_S and the
     pseudo-target image for VARIANT_ST; the conditioning branch is the
     pseudo-target image for OURS_PT_TO_INTERMEDIATE and the source image for
@@ -348,14 +353,10 @@ def forward_cross(params, img_m, img_pt, bias, pairing):
     n = cfg.num_classes
     if bias.shape != (n, n):
         raise DimensionError(f"class bias must be {n}x{n}, got {tuple(bias.shape)}")
-    cond_trace = forward(params, img_pt)
-
-    arr = _check_image(img_m)
-    f_img, e_pixel = _backbone_and_pixels(params, arr)
 
     def token_attn(layer, tokens):
         p = f"dec.{layer}."
-        q_cond = ag.matmul(cond_trace.layer_tokens[layer], params[p + "sa.wq"])
+        q_cond = ag.matmul(cond.layer_tokens[layer], params[p + "sa.wq"])
         k = ag.matmul(tokens, params[p + "sa.wk"])
         v = ag.matmul(tokens, params[p + "sa.wv"])
         at = _multihead(
@@ -364,8 +365,9 @@ def forward_cross(params, img_m, img_pt, bias, pairing):
         )
         return ag.matmul(at, params[p + "sa.wo"])
 
-    layer_tokens, e_class = _decoder(params, f_img, token_attn)
-    return ForwardTrace(f_img, e_pixel, layer_tokens, e_class, _logits(e_class, e_pixel))
+    layer_tokens, e_class = _decoder(params, main.f_img, token_attn)
+    return ForwardTrace(main.f_img, main.e_pixel, layer_tokens, e_class,
+                        _logits(e_class, main.e_pixel))
 
 
 def predict(params, img):

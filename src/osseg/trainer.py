@@ -5,6 +5,10 @@ class-mixed intermediate crop labeled by the teacher's pseudo-labels, and
 optionally on a cross-domain pass whose token queries come from a
 conditioning branch. The teacher is an exponential moving average of the
 student and is the model used for pseudo-labels and inference.
+
+A step runs the student's forward pass at most once per image: every loss
+term reads the trace of its image, and the cross-domain pass runs only its
+decoder over two of those traces (see `segmodel.forward_cross`).
 """
 
 import math
@@ -168,6 +172,10 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
     `batch_src[b]` and `batch_pt[b]` share the same index i (the source
     image and its stylized twin); `batch_acceptor[b]` is the independently
     drawn source sample j. Returns the LossReport for this step.
+
+    Per sample, the student traces the pseudo-target crop, the mixed crop
+    (when IDR or the pairing needs it) and the source crop (variants only)
+    once each; the cross pass and the loss terms share those traces.
     """
     n = student.config.num_classes
     size = cfg.crop
@@ -185,12 +193,13 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
         acc_img = _crop(src_j.image, at, al, size)
         acc_gt = _crop(src_j.label, at, al, size)
 
-        pt_terms.append(cross_entropy_pixelwise(forward(student, pt_img).logits, y_i))
+        pt_trace = forward(student, pt_img)
+        pt_terms.append(cross_entropy_pixelwise(pt_trace.logits, y_i))
 
         sampled = None
         if need_mix or cfg.pairing is not AttentionPairing.NONE:
             sampled = mixer.sample_classes(y_i, rng)
-        mixed = None
+        mixed = mixed_trace = None
         if need_mix:
             acc_pl = pseudo_label(teacher, acc_img, cfg.pseudo_label_threshold)
             pair = mixer.MixPair(
@@ -202,25 +211,21 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
                 mixed = mixer.mix_with_ground_truth(pair, mask)
             else:
                 mixed = mixer.mix(pair, mask)
+            mixed_trace = forward(student, mixed.image)
         if cfg.use_idr:
-            idr_terms.append(
-                cross_entropy_pixelwise(forward(student, mixed.image).logits, mixed.label)
-            )
+            idr_terms.append(cross_entropy_pixelwise(mixed_trace.logits, mixed.label))
 
         if cfg.pairing is not AttentionPairing.NONE:
             bias = build_class_bias(n, sampled.classes)
             if cfg.pairing is AttentionPairing.OURS_PT_TO_INTERMEDIATE:
-                trace = forward_cross(student, mixed.image, pt_img, bias, cfg.pairing)
-                cd_label = mixed.label
+                main, cond, cd_label = mixed_trace, pt_trace, mixed.label
             elif cfg.pairing is AttentionPairing.VARIANT_S:
-                trace = forward_cross(student, mixed.image, src_i_img, bias, cfg.pairing)
-                cd_label = mixed.label
+                main, cond, cd_label = mixed_trace, forward(student, src_i_img), mixed.label
             else:  # VARIANT_ST: source conditions the pseudo-target branch
-                trace = forward_cross(student, pt_img, src_i_img, bias, cfg.pairing)
-                cd_label = y_i
-                src_terms.append(
-                    cross_entropy_pixelwise(forward(student, src_i_img).logits, y_i)
-                )
+                cond = forward(student, src_i_img)
+                src_terms.append(cross_entropy_pixelwise(cond.logits, y_i))
+                main, cd_label = pt_trace, y_i
+            trace = forward_cross(student, main, cond, bias, cfg.pairing)
             cd_terms.append(cross_entropy_pixelwise(trace.logits, cd_label))
 
     l_pt = _batch_mean(pt_terms)

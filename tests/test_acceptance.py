@@ -17,6 +17,7 @@ from osseg.segmodel import (
     ModelConfig,
     build_class_bias,
     cross_domain_attention,
+    forward,
     forward_cross,
     forward_identity_token_attention,
     init_params,
@@ -131,7 +132,8 @@ def test_criterion_4_cacda_masking():
     params = init_params(model, seed=3)
     img_m = rng.random((8, 8, 3))
     img_pt = rng.random((8, 8, 3))
-    cross = forward_cross(params, img_m, img_pt, build_class_bias(n, set(range(n))),
+    cross = forward_cross(params, forward(params, img_m), forward(params, img_pt),
+                          build_class_bias(n, set(range(n))),
                           AttentionPairing.OURS_PT_TO_INTERMEDIATE).logits.data
     reference = forward_identity_token_attention(params, img_m).logits.data
     residual_err = np.abs(cross - reference).max()

@@ -147,6 +147,23 @@ class TestTrain:
                    str(tmp_path / "empty"), "--out", str(tmp_path / "c.osseg"),
                    "--log", str(tmp_path / "l.csv")) == 2
 
+    def test_all_ignore_labels_is_data_error(self, tmp_path, capsys):
+        # Every crop of an all-ignore label map has no class to sample:
+        # a fault in the data (exit 1), not in the command line (exit 2).
+        data = tmp_path / "data"
+        samples = synthdata.generate_dataset(SceneSpec(seed=4), 2)
+        for sample in samples:
+            sample.label[:] = synthdata.IGNORE
+        synthdata.write_dataset(data / "source", "source", samples)
+        synthdata.write_image(data / "reference.ppm", samples[0].image)
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("iterations = 1\ncrop = 16\n")
+        assert run("train", "--config", str(cfgfile), "--data-root", str(data),
+                   "--out", str(tmp_path / "c.osseg"), "--log", str(tmp_path / "l.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_report_format(self, pipeline, tmp_path):

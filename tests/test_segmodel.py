@@ -256,15 +256,17 @@ class TestForwardCross:
     def test_requires_pairing(self):
         params = tiny_params()
         img = rand_img(np.random.default_rng(17))
+        trace = forward(params, img)
         with pytest.raises(ContractError):
-            forward_cross(params, img, img, build_class_bias(3, set()), AttentionPairing.NONE)
+            forward_cross(params, trace, trace, build_class_bias(3, set()), AttentionPairing.NONE)
 
     def test_identical_images_empty_set_equals_forward(self):
         params = tiny_params(seed=3)
         img = rand_img(np.random.default_rng(18))
-        plain = forward(params, img).logits.data
+        trace = forward(params, img)
+        plain = trace.logits.data
         cross = forward_cross(
-            params, img, img, build_class_bias(3, set()),
+            params, trace, trace, build_class_bias(3, set()),
             AttentionPairing.OURS_PT_TO_INTERMEDIATE,
         ).logits.data
         assert np.abs(cross - plain).max() < 1e-9
@@ -275,7 +277,7 @@ class TestForwardCross:
         img_m = rand_img(rng)
         img_pt = rand_img(rng)
         cross = forward_cross(
-            params, img_m, img_pt, build_class_bias(3, {0, 1, 2}),
+            params, forward(params, img_m), forward(params, img_pt), build_class_bias(3, {0, 1, 2}),
             AttentionPairing.OURS_PT_TO_INTERMEDIATE,
         ).logits.data
         reference = forward_identity_token_attention(params, img_m).logits.data
@@ -287,7 +289,7 @@ class TestForwardCross:
         img_m = rand_img(rng)
         img_pt = rand_img(rng)
         cross = forward_cross(
-            params, img_m, img_pt, build_class_bias(3, set()),
+            params, forward(params, img_m), forward(params, img_pt), build_class_bias(3, set()),
             AttentionPairing.OURS_PT_TO_INTERMEDIATE,
         ).logits.data
         plain = forward(params, img_m).logits.data
@@ -302,7 +304,7 @@ class TestForwardCross:
         bias = build_class_bias(3, {1})
 
         def loss_of():
-            trace = forward_cross(params, img_m, img_pt, bias,
+            trace = forward_cross(params, forward(params, img_m), forward(params, img_pt), bias,
                                   AttentionPairing.OURS_PT_TO_INTERMEDIATE)
             return cross_entropy_pixelwise(trace.logits, label)
 

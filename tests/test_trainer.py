@@ -27,6 +27,61 @@ TINY_MODEL = ModelConfig(num_classes=5, embed_dim=8, decoder_layers=1,
                          backbone_channels=(2, 4, 8))
 
 
+# (l_pt, l_idr, l_cd, l_total, l_src) of the first 10 steps of quick_cfg(iterations=10,
+# pairing=...) on small_data() and TINY_MODEL, recorded when every loss term ran its
+# own forward pass. Sharing traces only reorders float sums, hence a 1e-10 tolerance.
+PINNED_LOSSES = {
+    "none": [
+        (1.555473724531251, 1.5039649264921895, 0.0, 3.0594386510234406, None),
+        (1.6700795806182749, 1.6700795806182749, 0.0, 3.3401591612365498, None),
+        (1.6107311975712337, 1.5833762549131034, 0.0, 3.194107452484337, None),
+        (1.5744109967603153, 1.5404428788573254, 0.0, 3.1148538756176407, None),
+        (1.5643199683336664, 1.5430109263030702, 0.0, 3.1073308946367364, None),
+        (1.5838336024779167, 1.5859165408653066, 0.0, 3.169750143343223, None),
+        (1.5946618077450654, 1.5845243406224474, 0.0, 3.1791861483675126, None),
+        (1.5183945879320841, 1.5114528457772232, 0.0, 3.0298474337093073, None),
+        (1.534070322178887, 1.4196540930838877, 0.0, 2.9537244152627746, None),
+        (1.4827677716148593, 1.464062908465674, 0.0, 2.9468306800805335, None),
+    ],
+    "ours_pt_to_intermediate": [
+        (1.555473724531251, 1.5039649264921895, 1.5359149258845657, 3.0747978002822864, None),
+        (1.6700850936332334, 1.6700850936332334, 1.6789135308143235, 3.35695932257461, None),
+        (1.6107010168845513, 1.583351719339463, 1.6038465968850115, 3.2100912021928645, None),
+        (1.5743858917764255, 1.5404321776226015, 1.6004780769909615, 3.130822850168937, None),
+        (1.564313267901209, 1.542984344068714, 1.5566830004681123, 3.1228644419746043, None),
+        (1.5837562609690923, 1.5858320403386366, 1.5893862706063788, 3.1854821640137927, None),
+        (1.594669192594833, 1.5845202519180117, 1.600892536208153, 3.1951983698749262, None),
+        (1.5183293792153558, 1.5115005780457405, 1.5186734839146188, 3.045016692100243, None),
+        (1.534031894326569, 1.4193617639347302, 1.4364181841120616, 2.9677578401024194, None),
+        (1.482492604230961, 1.4635057008572288, 1.4543053352260285, 2.96054135844045, None),
+    ],
+    "variant_st": [
+        (1.555473724531251, 1.5039649264921895, 1.584827791265997, 4.623479559958245, 1.5481926310221445),
+        (1.669014226080808, 1.669014226080808, 1.6785052798845277, 5.0121080629926595, 1.657294558032198),
+        (1.6113010038531506, 1.5844238238829211, 1.636494970873167, 4.826375046525731, 1.6142852690809275),
+        (1.574969321870415, 1.5413450441571492, 1.6441002775009665, 4.705549834236596, 1.5727944654340218),
+        (1.5648473552398448, 1.5452037718212681, 1.575536325876656, 4.678481888661983, 1.5526753983421033),
+        (1.5828638489640836, 1.5853491011322374, 1.5845935819941688, 4.774498527061434, 1.590439641145171),
+        (1.593296941087208, 1.5848887224675146, 1.6128301588042921, 4.766839229927886, 1.5725252647851202),
+        (1.520953951984108, 1.514973513876426, 1.5572349486762682, 4.550066428491048, 1.4985666131437512),
+        (1.5322155830207624, 1.422753138700387, 1.5134372410462753, 4.492762480907171, 1.5226593867755591),
+        (1.4816300432010325, 1.4668751155029172, 1.4569338143827304, 4.442250852229651, 1.479176355381874),
+    ],
+    "variant_s": [
+        (1.555473724531251, 1.5039649264921895, 1.53612871106785, 3.074799938134119, None),
+        (1.6700850935848683, 1.6700850935848683, 1.6791196505405295, 3.356961383675142, None),
+        (1.6107007443275283, 1.5833517346434163, 1.604106024301645, 3.210093539213961, None),
+        (1.5743857612541778, 1.5404324540148142, 1.6012314252546789, 3.130830529521539, None),
+        (1.5643133515502217, 1.542984512026396, 1.5566266535721387, 3.122864130112339, None),
+        (1.583755588714423, 1.5858313302036289, 1.5897865114389846, 3.1854847840324414, None),
+        (1.5946680429480886, 1.5845194664461673, 1.6026550047844301, 3.1952140594421, None),
+        (1.5183306738129383, 1.511502412624402, 1.5190062596018183, 3.0450231490333586, None),
+        (1.534029520755775, 1.4193634481928847, 1.4367835130680882, 2.967760804079341, None),
+        (1.4824908073957923, 1.4635061789795962, 1.4556100479210246, 2.9605530868545986, None),
+    ],
+}
+
+
 def small_data(n=4, seed=0):
     src = generate_dataset(SceneSpec(seed=seed), n)
     ref = generate_sample(
@@ -281,3 +336,53 @@ class TestConfigFile:
         assert cfg.crop == 32
         assert cfg.pseudo_label_threshold == 0.0
         assert cfg.use_ground_truth_mix is False
+
+
+class TestSharedTraces:
+    """Each image's student trace is built once per step and read by every loss."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, cfg):
+        from osseg import autograd, segmodel, trainer
+
+        calls = {"forward": 0, "conv2d": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        forward = counting("forward", segmodel.forward)
+        monkeypatch.setattr(segmodel, "forward", forward)
+        monkeypatch.setattr(trainer, "forward", forward)
+        monkeypatch.setattr(autograd, "conv2d", counting("conv2d", autograd.conv2d))
+        train(cfg, small_data(), model_config=TINY_MODEL)
+        return calls
+
+    def test_full_step_builds_each_trace_once(self, monkeypatch):
+        # Per sample: pseudo-target, teacher pseudo-label, mixed.
+        cfg = quick_cfg(iterations=1, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
+        assert self._count_calls(monkeypatch, cfg) == {"forward": 6, "conv2d": 30}
+
+    def test_variant_st_step_reuses_source_and_pt_traces(self, monkeypatch):
+        # Per sample: pseudo-target, teacher pseudo-label, mixed, source.
+        cfg = quick_cfg(iterations=1, pairing=AttentionPairing.VARIANT_ST, use_idr=True)
+        assert self._count_calls(monkeypatch, cfg)["conv2d"] == 40
+
+    def test_supervised_step_counts(self, monkeypatch):
+        cfg = quick_cfg(iterations=1, pairing=AttentionPairing.NONE, use_idr=False)
+        assert self._count_calls(monkeypatch, cfg)["conv2d"] == 10
+
+    @pytest.mark.parametrize("pairing", sorted(PINNED_LOSSES))
+    def test_losses_match_pinned_values(self, pairing):
+        _, log = train(quick_cfg(iterations=10, pairing=AttentionPairing(pairing)),
+                       small_data(), model_config=TINY_MODEL)
+        assert len(log) == len(PINNED_LOSSES[pairing])
+        for rep, pinned in zip(log, PINNED_LOSSES[pairing]):
+            got = (rep.l_pt, rep.l_idr, rep.l_cd, rep.l_total, rep.l_src)
+            for value, expect in zip(got, pinned):
+                if expect is None:
+                    assert value is None
+                else:
+                    assert abs(value - expect) <= 1e-10 * abs(expect)
