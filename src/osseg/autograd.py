@@ -11,8 +11,9 @@ Constants (``requires_grad=False`` inputs with no differentiable parents)
 produce outputs with no recorded rule, so inference-only passes build no
 graph at all.
 
-Correctness, not throughput, is the contract; convolution and upsampling use
-cached gather indices so that desk-scale training stays fast enough.
+Correctness, not throughput, is the contract; convolution uses cached im2col
+gather indices and upsampling fixed 2-tap slices, so that desk-scale training
+stays fast enough.
 """
 
 import itertools
@@ -340,8 +341,10 @@ def _im2col(arr, idx, pad, hp, wp):
 def conv2d(x, w, stride=1, pad=0):
     """2-D cross-correlation with zero padding.
 
-    x: (C_in, H, W); w: (C_out, C_in, k, k) with odd k. Output spatial size
-    must be integral for the given stride/pad.
+    x: (C_in, H, W); w: (C_out, C_in, k, k) with odd k, no larger than the
+    padded input. Floor semantics, as in PyTorch: the output holds positions
+    0, stride, 2*stride, ... of the stride-1 correlation, so its size is
+    (H + 2*pad - k) // stride + 1 per axis.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -354,9 +357,9 @@ def conv2d(x, w, stride=1, pad=0):
         raise DimensionError(f"conv2d: weight shape {tuple(w.shape)} does not match input {tuple(x.shape)}")
     if k % 2 != 1:
         raise ConfigurationError(f"conv2d kernel size must be odd, got {k}")
-    if (h + 2 * pad - k) % stride != 0 or (wd + 2 * pad - k) % stride != 0:
+    if k > h + 2 * pad or k > wd + 2 * pad:
         raise ConfigurationError(
-            f"conv2d output size is not integral for input {h}x{wd}, k={k}, stride={stride}, pad={pad}"
+            f"conv2d kernel {k}x{k} does not fit input {h}x{wd} padded by {pad}"
         )
     idx, h_out, w_out, hp, wp = _conv_indices(c_in, h, wd, k, stride, pad)
     cols = _im2col(x.data, idx, pad, hp, wp)
@@ -368,44 +371,17 @@ def conv2d(x, w, stride=1, pad=0):
         if w.requires_grad:
             _accumulate(w, (g_mat.T @ cols).reshape(w.shape))
         if x.requires_grad:
-            if stride == 1 and pad <= k - 1:
-                # Input gradient is a full correlation with the flipped,
-                # channel-swapped kernel; reuses the fast im2col path.
-                w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                idx2, _, _, hp2, wp2 = _conv_indices(c_out, h_out, w_out, k, 1, k - 1 - pad)
-                g_cols = _im2col(g, idx2, k - 1 - pad, hp2, wp2)
-                gx = (g_cols @ w_flip.reshape(c_in, -1).T).T.reshape(c_in, h, wd)
-            else:
-                g_cols = g_mat @ w_mat  # (h_out*w_out, c_in*k*k)
-                flat = np.bincount(
-                    idx.reshape(-1), weights=g_cols.reshape(-1), minlength=c_in * hp * wp
-                )
-                gx = flat.reshape(c_in, hp, wp)
-                if pad:
-                    gx = gx[:, pad:pad + h, pad:pad + wd]
+            # Scatter-add each im2col entry's gradient back to its source.
+            g_cols = g_mat @ w_mat  # (h_out*w_out, c_in*k*k)
+            flat = np.bincount(
+                idx.reshape(-1), weights=g_cols.reshape(-1), minlength=c_in * hp * wp
+            )
+            gx = flat.reshape(c_in, hp, wp)
+            if pad:
+                gx = gx[:, pad:pad + h, pad:pad + wd]
             _accumulate(x, gx)
 
     return _node(out, (x, w), bw)
-
-
-def subsample2x(x):
-    """Keep every other row/column of a (C, H, W) tensor, starting at 0.
-
-    Composing a size-preserving conv2d with this op yields exactly the
-    floor-semantics stride-2 convolution (outputs taken at positions
-    0, 2, 4, ...), which is how the backbone halves even-sized inputs.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise DimensionError(f"subsample2x expects (C,H,W), got {tuple(x.shape)}")
-    data = x.data[:, ::2, ::2].copy()
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[:, ::2, ::2] = g
-        _accumulate(x, full)
-
-    return _node(data, (x,), bw)
 
 
 def _up1d(arr, axis):

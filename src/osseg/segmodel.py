@@ -1,10 +1,12 @@
 """Query-based transformer segmentation network.
 
 The network is a small backbone (three stride-2 conv stages), a pixel
-decoder (two upsample+conv stages followed by a bilinear step back to full
-resolution) and a transformer decoder over one learnable query token per
-class. Per-pixel logits are the product of the final class-token embeddings
-and the per-pixel embeddings.
+decoder (two upsample+conv stages, ending at half resolution) and a
+transformer decoder over one learnable query token per class. The logits
+are the product of the final class-token embeddings and the per-pixel
+embeddings, formed at half resolution and then upsampled 2x bilinearly.
+Both steps are linear, so up to float rounding this equals upsampling the
+embeddings first, at a fraction of the cost.
 
 Three token-attention modes are supported: plain self-attention among the
 class tokens, cross-domain attention where queries come from a second
@@ -65,11 +67,11 @@ class ModelConfig:
 class ForwardTrace:
     """Intermediate states of one forward pass."""
 
-    f_img: Tensor
-    e_pixel: Tensor
-    layer_tokens: list  # token state entering each layer's token-attention step
+    f_img: Tensor  # backbone features: (C_3, H/8, W/8)
+    e_pixel: Tensor  # pixel embeddings at half resolution: (C_e, H/2, W/2)
+    layer_queries: list  # query of each layer's token-attention step: (N, C_e)
     e_class: Tensor  # final tokens, one row per class: (N, C_e)
-    logits: Tensor  # (N, H, W)
+    logits: Tensor  # e_class @ e_pixel upsampled 2x: (N, H, W)
 
 
 class ModelParams:
@@ -221,16 +223,13 @@ def _check_image(img):
 def _backbone_and_pixels(params, arr):
     x = Tensor(arr.transpose(2, 0, 1))
     for stage in range(3):
-        # Stride-2 stage as conv + 2x subsample: identical to a
-        # floor-semantics strided conv, and exact on even sizes.
-        conv = ag.conv2d(x, params[f"backbone.{stage}.w"], stride=1, pad=1)
-        x = ag.relu(ag.add(ag.subsample2x(conv), params[f"backbone.{stage}.b"]))
+        conv = ag.conv2d(x, params[f"backbone.{stage}.w"], stride=2, pad=1)
+        x = ag.relu(ag.add(conv, params[f"backbone.{stage}.b"]))
     f_img = x
     y = ag.bilinear_upsample2x(f_img)
     y = ag.relu(ag.add(ag.conv2d(y, params["pixdec.0.w"], stride=1, pad=1), params["pixdec.0.b"]))
     y = ag.bilinear_upsample2x(y)
-    y = ag.relu(ag.add(ag.conv2d(y, params["pixdec.1.w"], stride=1, pad=1), params["pixdec.1.b"]))
-    e_pixel = ag.bilinear_upsample2x(y)
+    e_pixel = ag.relu(ag.add(ag.conv2d(y, params["pixdec.1.w"], stride=1, pad=1), params["pixdec.1.b"]))
     return f_img, e_pixel
 
 
@@ -247,12 +246,13 @@ def _decoder(params, f_img, token_attn):
     """Run the transformer decoder.
 
     `token_attn(layer, tokens)` implements sublayer (b): it receives the
-    token state entering the attention step and returns the attention
-    contribution (pre-residual). Returns (layer_tokens, e_class).
+    token state entering the attention step and returns (query,
+    contribution): the query its attention used (None if it used none) and
+    the pre-residual attention contribution. Returns (layer_queries, e_class).
     """
     cfg = params.config
     tokens = params["query_embed"]
-    layer_tokens = []
+    layer_queries = []
     for layer in range(cfg.decoder_layers):
         p = f"dec.{layer}."
         k_img, v_img = _image_memory(params, f_img, layer)
@@ -265,8 +265,8 @@ def _decoder(params, f_img, token_attn):
             ag.add(tokens, ag.matmul(attn_a, params[p + "ca.wo"])),
             params[p + "ln1.g"], params[p + "ln1.b"],
         )
-        layer_tokens.append(tokens)
-        contrib = token_attn(layer, tokens)
+        query, contrib = token_attn(layer, tokens)
+        layer_queries.append(query)
         tokens = ag.layernorm_lastdim(
             ag.add(tokens, contrib), params[p + "ln2.g"], params[p + "ln2.b"],
         )
@@ -275,14 +275,13 @@ def _decoder(params, f_img, token_attn):
         tokens = ag.layernorm_lastdim(
             ag.add(tokens, h), params[p + "ln3.g"], params[p + "ln3.b"],
         )
-    return layer_tokens, tokens
+    return layer_queries, tokens
 
 
 def _logits(e_class, e_pixel):
-    ce = e_pixel.shape[0]
-    flat = ag.reshape(e_pixel, (ce, e_pixel.shape[1] * e_pixel.shape[2]))
-    out = ag.matmul(e_class, flat)
-    return ag.reshape(out, (e_class.shape[0], e_pixel.shape[1], e_pixel.shape[2]))
+    ce, h, w = e_pixel.shape
+    out = ag.matmul(e_class, ag.reshape(e_pixel, (ce, h * w)))
+    return ag.bilinear_upsample2x(ag.reshape(out, (e_class.shape[0], h, w)))
 
 
 def _self_attention_step(params, cfg):
@@ -295,7 +294,7 @@ def _self_attention_step(params, cfg):
             lambda q_, k_, v_: attention(q_, k_, v_, scaled=cfg.scaled_attention),
             q, k, v, cfg.heads,
         )
-        return ag.matmul(at, params[p + "sa.wo"])
+        return q, ag.matmul(at, params[p + "sa.wo"])
     return token_attn
 
 
@@ -303,8 +302,8 @@ def forward(params, img):
     """Standard forward pass: self-attention among the class tokens."""
     arr = _check_image(img)
     f_img, e_pixel = _backbone_and_pixels(params, arr)
-    layer_tokens, e_class = _decoder(params, f_img, _self_attention_step(params, params.config))
-    return ForwardTrace(f_img, e_pixel, layer_tokens, e_class, _logits(e_class, e_pixel))
+    layer_queries, e_class = _decoder(params, f_img, _self_attention_step(params, params.config))
+    return ForwardTrace(f_img, e_pixel, layer_queries, e_class, _logits(e_class, e_pixel))
 
 
 def forward_identity_token_attention(params, img):
@@ -318,10 +317,10 @@ def forward_identity_token_attention(params, img):
     f_img, e_pixel = _backbone_and_pixels(params, arr)
 
     def token_attn(layer, tokens):
-        return Tensor(np.zeros(tokens.shape))
+        return None, Tensor(np.zeros(tokens.shape))
 
-    layer_tokens, e_class = _decoder(params, f_img, token_attn)
-    return ForwardTrace(f_img, e_pixel, layer_tokens, e_class, _logits(e_class, e_pixel))
+    layer_queries, e_class = _decoder(params, f_img, token_attn)
+    return ForwardTrace(f_img, e_pixel, layer_queries, e_class, _logits(e_class, e_pixel))
 
 
 def forward_cross(params, main, cond, bias, pairing):
@@ -329,11 +328,11 @@ def forward_cross(params, main, cond, bias, pairing):
 
     `main` is the trace of the main branch: its image features supply the
     keys and values of the image cross-attention, and its pixel embeddings
-    the logits. `cond` is the trace of the conditioning branch: the token
-    state entering each of its layers' token-attention steps provides that
-    layer's queries. Each decoder layer's token self-attention is replaced
-    by class-aware cross-domain attention with the given bias. Queries use
-    the same learned projection as the self-attention path.
+    the logits. `cond` is the `forward` trace of the conditioning branch:
+    the query each of its layers' token self-attention computed is that
+    layer's query here, so queries use the same learned projection as the
+    self-attention path. Each decoder layer's token self-attention is
+    replaced by class-aware cross-domain attention with the given bias.
 
     Only the decoder runs here: the backbone and pixel decoder of both
     branches are those already recorded in the traces, which other loss
@@ -356,17 +355,17 @@ def forward_cross(params, main, cond, bias, pairing):
 
     def token_attn(layer, tokens):
         p = f"dec.{layer}."
-        q_cond = ag.matmul(cond.layer_tokens[layer], params[p + "sa.wq"])
+        q_cond = cond.layer_queries[layer]
         k = ag.matmul(tokens, params[p + "sa.wk"])
         v = ag.matmul(tokens, params[p + "sa.wv"])
         at = _multihead(
             lambda q_, k_, v_: class_aware_cross_attention(q_, k_, v_, bias, scaled=cfg.scaled_attention),
             q_cond, k, v, cfg.heads,
         )
-        return ag.matmul(at, params[p + "sa.wo"])
+        return q_cond, ag.matmul(at, params[p + "sa.wo"])
 
-    layer_tokens, e_class = _decoder(params, main.f_img, token_attn)
-    return ForwardTrace(main.f_img, main.e_pixel, layer_tokens, e_class,
+    layer_queries, e_class = _decoder(params, main.f_img, token_attn)
+    return ForwardTrace(main.f_img, main.e_pixel, layer_queries, e_class,
                         _logits(e_class, main.e_pixel))
 
 
@@ -429,6 +428,12 @@ def save_checkpoint(path, params):
 
 
 def load_checkpoint(path):
+    """Inverse of `save_checkpoint`; strict about the container's content.
+
+    Raises FormatError unless the file holds exactly the tensors of its
+    config's network, with their shapes and finite values, and nothing after
+    the last tensor.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:6] != CHECKPOINT_MAGIC:
@@ -446,16 +451,32 @@ def load_checkpoint(path):
     try:
         (cfg_len,) = struct.unpack("<I", take(4))
         cfg = _parse_config_block(take(cfg_len))
+        expected = _param_shapes(cfg)
         (count,) = struct.unpack("<I", take(4))
         tensors = {}
         for _ in range(count):
+            start = off
             (name_len,) = struct.unpack("<H", take(2))
             name = take(name_len).decode("utf-8")
             (rank,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
+            if name in tensors:
+                raise FormatError(f"duplicate checkpoint tensor {name!r}", offset=start)
+            if expected.get(name) != shape:
+                raise FormatError(
+                    f"checkpoint tensor {name!r} of shape {shape} does not match the config "
+                    f"({expected.get(name, 'no such tensor')})", offset=start,
+                )
             size = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
+            if not np.isfinite(data).all():
+                raise FormatError(f"non-finite value in checkpoint tensor {name!r}", offset=start)
             tensors[name] = Tensor(data.copy())
     except (struct.error, ValueError, KeyError, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed checkpoint: {exc}", offset=off) from exc
+    missing = [name for name in expected if name not in tensors]
+    if missing:
+        raise FormatError(f"checkpoint lacks tensor {missing[0]!r}", offset=off)
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} trailing bytes after the last tensor", offset=off)
     return ModelParams(cfg, tensors)

@@ -111,10 +111,23 @@ class TestConv2d:
         out = ag.conv2d(x, Tensor(w), stride=1, pad=1)
         assert np.allclose(out.data, x.data, atol=1e-15)
 
-    def test_non_integral_output_size(self):
+    @pytest.mark.parametrize("c_in,c_out,size", [(3, 8, 32), (8, 16, 16), (16, 32, 8), (3, 8, 64)])
+    def test_stride2_is_stride1_at_even_positions(self, c_in, c_out, size):
+        # Floor semantics on the backbone's even-sized stages.
+        rng = np.random.default_rng(size + c_in)
+        x = Tensor(rng.standard_normal((c_in, size, size)))
+        w = Tensor(rng.standard_normal((c_out, c_in, 3, 3)))
+        strided = ag.conv2d(x, w, stride=2, pad=1).data
+        full = ag.conv2d(x, w, stride=1, pad=1).data
+        assert strided.shape == (c_out, size // 2, size // 2)
+        assert np.abs(strided - full[:, ::2, ::2]).max() <= 1e-13
+
+    def test_kernel_larger_than_padded_input_rejected(self):
         from osseg.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            ag.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), stride=2, pad=0)
+            ag.conv2d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 1, 5, 5))), stride=2, pad=1)
+        with pytest.raises(ConfigurationError):
+            ag.conv2d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 1, 5, 5))), stride=1, pad=1)
 
     def test_even_kernel_rejected(self):
         from osseg.errors import ConfigurationError
@@ -132,9 +145,6 @@ class TestConv2d:
             lambda x, w: ag.conv2d(x, w, stride=2, pad=1), [(2, 7, 7), (3, 2, 3, 3)],
             seed=6, tol=1e-5,
         )
-
-    def test_subsample_gradient(self):
-        check_op_gradient(ag.subsample2x, [(2, 4, 6)], seed=22)
 
 
 class TestElementwise:

@@ -5,7 +5,14 @@ import pytest
 
 from osseg import autograd as ag
 from osseg import cli, synthdata
-from osseg.segmodel import AttentionPairing, load_checkpoint, save_checkpoint
+from osseg.autograd import Tensor
+from osseg.segmodel import (
+    AttentionPairing,
+    ModelConfig,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from osseg.synthdata import DomainSample, DomainTag, SceneSpec, read_image, read_label
 from osseg.trainer import TrainConfig, TrainData, train
 
@@ -207,6 +214,28 @@ class TestInfer:
         assert run("infer", "--ckpt", str(junk), "--image", str(img),
                    "--out", str(tmp_path / "p.pgm")) == 1
         assert "bad checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["missing", "wrong_shape", "nan", "trailing"])
+    def test_defective_checkpoint_exit_1(self, tmp_path, capsys, defect):
+        params = init_params(ModelConfig(), seed=0)
+        if defect == "missing":
+            del params.tensors["dec.0.ca.wk"]
+        elif defect == "wrong_shape":
+            params.tensors["query_embed"] = Tensor(np.zeros((3, 32)))
+        elif defect == "nan":
+            params.tensors["backbone.1.w"].data[0, 0, 0, 0] = np.nan
+        ckpt = tmp_path / "model.osseg"
+        save_checkpoint(ckpt, params)
+        if defect == "trailing":
+            ckpt.write_bytes(ckpt.read_bytes() + b"tail")
+        img = tmp_path / "img.ppm"
+        synthdata.write_image(img, np.zeros((8, 8, 3)))
+        assert run("infer", "--ckpt", str(ckpt), "--image", str(img),
+                   "--out", str(tmp_path / "p.pgm")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.pgm").exists()
 
     def test_overfit_model_predicts_training_image(self, tmp_path):
         sample = synthdata.generate_dataset(SceneSpec(seed=6), 1)[0]

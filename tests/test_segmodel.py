@@ -186,9 +186,9 @@ class TestForward:
         params = tiny_params()
         trace = forward(params, rand_img(np.random.default_rng(9), 16))
         assert trace.logits.shape == (3, 16, 16)
-        assert trace.e_pixel.shape == (8, 16, 16)
+        assert trace.e_pixel.shape == (8, 8, 8)
         assert trace.e_class.shape == (3, 8)
-        assert len(trace.layer_tokens) == 2
+        assert len(trace.layer_queries) == 2
 
     def test_zero_params_give_uniform_softmax(self):
         params = tiny_params()
@@ -200,8 +200,8 @@ class TestForward:
     def test_logits_equal_product_of_embeddings(self):
         params = tiny_params()
         trace = forward(params, rand_img(np.random.default_rng(11)))
-        manual = trace.e_class.data @ trace.e_pixel.data.reshape(8, -1)
-        assert np.array_equal(trace.logits.data.reshape(3, -1), manual)
+        manual = (trace.e_class.data @ trace.e_pixel.data.reshape(8, -1)).reshape(3, 4, 4)
+        assert np.array_equal(trace.logits.data, ag.bilinear_upsample2x(Tensor(manual)).data)
 
     def test_size_not_divisible_by_8(self):
         with pytest.raises(ConfigurationError):
@@ -359,3 +359,39 @@ class TestCheckpoint:
         (tmp_path / "cut.osseg").write_bytes(path.read_bytes()[:100])
         with pytest.raises(FormatError):
             load_checkpoint(tmp_path / "cut.osseg")
+
+    @staticmethod
+    def _defective(tmp_path, defect):
+        params = init_params(TINY, seed=1)
+        tensors = params.tensors
+        if defect == "missing":
+            del tensors["dec.1.ffn.w2"]
+        elif defect == "wrong_shape":
+            tensors["query_embed"] = Tensor(np.zeros((2, 8)))
+        elif defect == "nan":
+            tensors["pixdec.0.w"].data[0, 0, 1, 1] = np.nan
+        elif defect == "unexpected":
+            tensors["extra.w"] = Tensor(np.zeros((2, 2)))
+        path = tmp_path / f"{defect}.osseg"
+        save_checkpoint(path, params)
+        if defect == "trailing":
+            path.write_bytes(path.read_bytes() + b"\0")
+        elif defect == "duplicate":
+            # Rename the last tensor to the name of a same-shaped earlier one.
+            blob = path.read_bytes()
+            last = b"dec.1.ln3.b"
+            assert blob.count(last) == 1
+            path.write_bytes(blob.replace(last, b"dec.1.ln3.g"))
+        return path
+
+    @pytest.mark.parametrize("defect,message", [
+        ("missing", "lacks tensor 'dec.1.ffn.w2'"),
+        ("wrong_shape", "'query_embed' of shape \\(2, 8\\) does not match the config \\(\\(3, 8\\)\\)"),
+        ("nan", "non-finite value in checkpoint tensor 'pixdec.0.w'"),
+        ("trailing", "1 trailing bytes"),
+        ("unexpected", "'extra.w' of shape \\(2, 2\\) does not match the config \\(no such"),
+        ("duplicate", "duplicate checkpoint tensor 'dec.1.ln3.g'"),
+    ])
+    def test_defective_checkpoint_rejected(self, tmp_path, defect, message):
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(self._defective(tmp_path, defect))

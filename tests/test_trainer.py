@@ -345,7 +345,7 @@ class TestSharedTraces:
     def _count_calls(monkeypatch, cfg):
         from osseg import autograd, segmodel, trainer
 
-        calls = {"forward": 0, "conv2d": 0}
+        calls = {"forward": 0, "conv2d": 0, "matmul": 0, "bilinear_upsample2x": 0, "nodes": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -353,17 +353,39 @@ class TestSharedTraces:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def graph_nodes(loss):
+            # The nodes `backward` visits, found by the same walk.
+            seen, stack = set(), [loss]
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen and t._backward_fn is not None:
+                    seen.add(id(t))
+                    stack.extend(t._parents)
+            return len(seen)
+
+        backward = autograd.backward
+
+        def counting_backward(loss):
+            calls["nodes"] += graph_nodes(loss)
+            return backward(loss)
+
         forward = counting("forward", segmodel.forward)
         monkeypatch.setattr(segmodel, "forward", forward)
         monkeypatch.setattr(trainer, "forward", forward)
-        monkeypatch.setattr(autograd, "conv2d", counting("conv2d", autograd.conv2d))
-        train(cfg, small_data(), model_config=TINY_MODEL)
+        for op in ("conv2d", "matmul", "bilinear_upsample2x"):
+            monkeypatch.setattr(autograd, op, counting(op, getattr(autograd, op)))
+        monkeypatch.setattr(autograd, "backward", counting_backward)
+        # The default network, so that matmul and node counts are those of
+        # a default-config train step.
+        train(cfg, small_data())
         return calls
 
     def test_full_step_builds_each_trace_once(self, monkeypatch):
         # Per sample: pseudo-target, teacher pseudo-label, mixed.
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
-        assert self._count_calls(monkeypatch, cfg) == {"forward": 6, "conv2d": 30}
+        assert self._count_calls(monkeypatch, cfg) == {
+            "forward": 6, "conv2d": 30, "matmul": 228, "bilinear_upsample2x": 20, "nodes": 455,
+        }
 
     def test_variant_st_step_reuses_source_and_pt_traces(self, monkeypatch):
         # Per sample: pseudo-target, teacher pseudo-label, mixed, source.
@@ -372,7 +394,9 @@ class TestSharedTraces:
 
     def test_supervised_step_counts(self, monkeypatch):
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.NONE, use_idr=False)
-        assert self._count_calls(monkeypatch, cfg)["conv2d"] == 10
+        assert self._count_calls(monkeypatch, cfg) == {
+            "forward": 2, "conv2d": 10, "matmul": 58, "bilinear_upsample2x": 6, "nodes": 164,
+        }
 
     @pytest.mark.parametrize("pairing", sorted(PINNED_LOSSES))
     def test_losses_match_pinned_values(self, pairing):
