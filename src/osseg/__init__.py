@@ -11,8 +11,6 @@ from .segmodel import (  # noqa: F401
     ModelParams,
     attention,
     build_class_bias,
-    class_aware_cross_attention,
-    cross_domain_attention,
     forward,
     forward_cross,
     init_params,

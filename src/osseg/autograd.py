@@ -16,6 +16,7 @@ gather indices and upsampling fixed 2-tap slices, so that desk-scale training
 stays fast enough.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -57,25 +58,9 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}{flag})"
-
-    # Thin operator sugar over the op functions below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x):
@@ -205,31 +190,6 @@ def reshape(a, shape):
     return _node(data, (a,), bw)
 
 
-def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    return _node(data, tuple(tensors), bw)
-
-
-def slice_lastdim(a, start, stop):
-    a = _as_tensor(a)
-    data = a.data[..., start:stop].copy()
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        _accumulate(a, full)
-
-    return _node(data, (a,), bw)
-
-
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0
@@ -302,15 +262,9 @@ def layernorm_lastdim(x, gamma, beta, eps=1e-5):
     return _node(data, (x, gamma, beta), bw)
 
 
-# im2col gather indices, keyed by (C, H, W, k, stride, pad).
-_conv_index_cache = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _conv_indices(c_in, h, w, k, stride, pad):
-    key = (c_in, h, w, k, stride, pad)
-    cached = _conv_index_cache.get(key)
-    if cached is not None:
-        return cached
+    """im2col gather indices; the 32 most recent input shapes stay cached."""
     hp, wp = h + 2 * pad, w + 2 * pad
     h_out = (h + 2 * pad - k) // stride + 1
     w_out = (w + 2 * pad - k) // stride + 1
@@ -324,8 +278,7 @@ def _conv_indices(c_in, h, w, k, stride, pad):
     chan = np.arange(c_in) * (hp * wp)
     idx = spatial[:, :, None, :, :] + chan[None, None, :, None, None]
     idx = idx.reshape(h_out * w_out, c_in * k * k)
-    _conv_index_cache[key] = (idx, h_out, w_out, hp, wp)
-    return _conv_index_cache[key]
+    return idx, h_out, w_out, hp, wp
 
 
 def _im2col(arr, idx, pad, hp, wp):

@@ -9,7 +9,6 @@ import csv
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,13 +45,6 @@ def _write_run_manifest(out_dir, command, config, seed, started):
         f.write("\n".join(lines) + "\n")
 
 
-def _map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def cmd_gen_data(args):
     started = time.time()
     if args.domain == "source":
@@ -63,8 +55,7 @@ def cmd_gen_data(args):
                          seed=args.seed, image_size=(args.size, args.size))
     if args.count < 1:
         raise ArgumentError(f"count must be >= 1, got {args.count}")
-    samples = _map(lambda i: synthdata.generate_sample(spec, i), range(args.count),
-                   args.threads)
+    samples = [synthdata.generate_sample(spec, i) for i in range(args.count)]
     write_dataset(args.out, args.domain, samples)
     _write_run_manifest(
         args.out, "gen-data",
@@ -162,14 +153,9 @@ def cmd_eval(args):
     n = params.config.num_classes
     data = read_dataset(args.data_root, num_classes=n, domain_tag=DomainTag.TARGET)
     subset = [int(c) for c in args.subset.split(",")] if args.subset else []
-
-    def one(sample):
-        cm = evalmetrics.ConfusionMatrix(n)
-        return evalmetrics.accumulate(cm, predict(params, sample.image), sample.label)
-
     total = evalmetrics.ConfusionMatrix(n)
-    for cm in _map(one, data, args.threads):
-        total.merge(cm)
+    for sample in data:
+        evalmetrics.accumulate(total, predict(params, sample.image), sample.label)
     report = evalmetrics.iou_report(total, subset=subset)
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -221,8 +207,6 @@ def build_parser():
         prog="osseg",
         description="One-shot domain-adaptive segmentation on a synthetic benchmark",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for data generation and evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")

@@ -15,14 +15,7 @@ from . import autograd as ag
 from . import mixer
 from .autograd import Tensor, cross_entropy_pixelwise
 from .rng import derive_rng
-from .segmodel import (
-    AttentionPairing,
-    ModelConfig,
-    build_class_bias,
-    forward,
-    forward_cross,
-    init_params,
-)
+from .segmodel import ModelConfig, build_class_bias, forward, forward_cross, init_params
 from .styletransfer import FdaConfig, fda_stylize
 from .synthdata import DomainSample, DomainTag
 from .trainer import TrainConfig, pseudo_label
@@ -33,7 +26,9 @@ CHECK_MODEL = ModelConfig(num_classes=3, embed_dim=8, decoder_layers=2,
                           backbone_channels=(2, 4, 8))
 
 
-def _fd_gradient(fn, arr, step):
+def fd_gradient(fn, arr, step):
+    """Central-difference gradient of the scalar `fn()` w.r.t. every entry of
+    `arr`, which `fn` reads and which is perturbed in place and restored."""
     grad = np.zeros_like(arr)
     flat = arr.reshape(-1)
     gflat = grad.reshape(-1)
@@ -48,7 +43,8 @@ def _fd_gradient(fn, arr, step):
     return grad
 
 
-def _rel_error(a, b, atol=1e-7):
+def rel_error(a, b, atol=1e-7):
+    """Norm-relative error between two gradients."""
     na = np.linalg.norm(a.reshape(-1))
     nb = np.linalg.norm(b.reshape(-1))
     if max(na, nb) < atol:
@@ -71,9 +67,9 @@ def _check_op(build, shapes, rng, step=1e-6):
     for arr, t in zip(arrays, tensors):
         def scalar():
             return float((build(*[Tensor(a) for a in arrays]).data * w).sum())
-        fd = _fd_gradient(scalar, arr, step)
+        fd = fd_gradient(scalar, arr, step)
         analytic = t.grad if t.grad is not None else np.zeros_like(arr)
-        worst = max(worst, _rel_error(analytic, fd))
+        worst = max(worst, rel_error(analytic, fd))
     return worst
 
 
@@ -87,8 +83,6 @@ def _op_checks(rng):
         ("ops.matmul", lambda: _check_op(ag.matmul, [(3, 4), (4, 2)], rng)),
         ("ops.transpose", lambda: _check_op(ag.transpose, [(3, 5)], rng)),
         ("ops.reshape", lambda: _check_op(lambda a: ag.reshape(a, (2, 6)), [(3, 4)], rng)),
-        ("ops.concat", lambda: _check_op(lambda a, b: ag.concat([a, b], 0), [(2, 3), (1, 3)], rng)),
-        ("ops.slice", lambda: _check_op(lambda a: ag.slice_lastdim(a, 1, 3), [(2, 5)], rng)),
         ("ops.relu", lambda: _check_op(ag.relu, [(4, 4)], rng)),
         ("ops.softmax", lambda: _check_op(ag.softmax_lastdim, [(4, 5)], rng)),
         ("ops.layernorm", lambda: _check_op(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], rng)),
@@ -127,15 +121,12 @@ def _loss_setup(seed):
     mixed = mixer.mix(pair, mask)
     bias = build_class_bias(3, sampled.classes)
 
-    def cross(main, cond):
-        return forward_cross(student, main, cond, bias, AttentionPairing.OURS_PT_TO_INTERMEDIATE)
-
     def l_step():
         # As in train_step: l_pt and the conditioning branch share the
         # pseudo-target trace, l_idr and the main branch the mixed trace.
         pt = forward(student, pt_img)
         mix = forward(student, mixed.image)
-        l_cd = cross_entropy_pixelwise(cross(mix, pt).logits, mixed.label)
+        l_cd = cross_entropy_pixelwise(forward_cross(student, mix, pt, bias).logits, mixed.label)
         return ag.add(
             ag.add(cross_entropy_pixelwise(pt.logits, y_i),
                    cross_entropy_pixelwise(mix.logits, mixed.label)),
@@ -146,7 +137,8 @@ def _loss_setup(seed):
         ("l_pt", lambda: cross_entropy_pixelwise(forward(student, pt_img).logits, y_i)),
         ("l_idr", lambda: cross_entropy_pixelwise(forward(student, mixed.image).logits, mixed.label)),
         ("l_cd", lambda: cross_entropy_pixelwise(
-            cross(forward(student, mixed.image), forward(student, pt_img)).logits, mixed.label)),
+            forward_cross(student, forward(student, mixed.image), forward(student, pt_img), bias).logits,
+            mixed.label)),
         ("l_step", l_step),
     ])
     return student, losses
@@ -160,8 +152,8 @@ def _check_loss(student, loss_fn, step=1e-5):
                 for name, t in student.tensors.items()}
     worst = 0.0
     for name, t in student.tensors.items():
-        fd = _fd_gradient(lambda: loss_fn().item(), t.data, step)
-        worst = max(worst, _rel_error(analytic[name], fd))
+        fd = fd_gradient(lambda: loss_fn().item(), t.data, step)
+        worst = max(worst, rel_error(analytic[name], fd))
     return worst
 
 

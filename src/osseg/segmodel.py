@@ -8,12 +8,12 @@ embeddings, formed at half resolution and then upsampled 2x bilinearly.
 Both steps are linear, so up to float rounding this equals upsampling the
 embeddings first, at a fraction of the cost.
 
-Three token-attention modes are supported: plain self-attention among the
-class tokens, cross-domain attention where queries come from a second
-(conditioning) branch, and class-aware cross-domain attention where an
-additive N x N bias removes every row and column indexed by a sampled
-class. Fully masked rows produce zero attention output, so the residual
-connection carries those tokens through unchanged.
+Every attention step is the one `attention` op. Among the class tokens it
+runs as self-attention, or, in the cross-domain pass, with queries from a
+second (conditioning) branch and an additive N x N class bias that removes
+every row and column indexed by a sampled class; with no class sampled it
+is plain cross-domain attention. Fully masked rows produce zero attention
+output, so the residual connection carries those tokens through unchanged.
 """
 
 import io
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ArgumentError, ConfigurationError, ContractError, DimensionError, FormatError
+from .errors import ArgumentError, ConfigurationError, DimensionError, FormatError
 from .rng import derive_rng
 
 CHECKPOINT_MAGIC = b"OSSEG1"
@@ -168,25 +168,6 @@ def attention(q, k, v, scaled=False, bias=None):
     return ag.matmul(weights, v)
 
 
-def cross_domain_attention(q_cond, k_main, v_main, scaled=False):
-    """Attention with queries from the conditioning branch; same math as attention."""
-    return attention(q_cond, k_main, v_main, scaled=scaled)
-
-
-def class_aware_cross_attention(q_cond, k_main, v_main, bias, scaled=False):
-    """Cross-domain attention with the class-modulating additive bias.
-
-    Rows/columns of `bias` indexed by sampled classes carry the masking
-    sentinel; fully masked rows yield zero output rows.
-    """
-    n = q_cond.shape[0]
-    if bias.shape != (n, k_main.shape[0]):
-        raise DimensionError(
-            f"class bias shape {tuple(bias.shape)} does not match attention {n}x{k_main.shape[0]}"
-        )
-    return attention(q_cond, k_main, v_main, scaled=scaled, bias=bias)
-
-
 def build_class_bias(num_classes, sampled_classes):
     """N x N additive bias: entry (x, y) is 0 iff neither x nor y is sampled."""
     classes = sorted(set(int(c) for c in sampled_classes))
@@ -199,15 +180,24 @@ def build_class_bias(num_classes, sampled_classes):
     return Tensor(m)
 
 
-def _multihead(attn_fn, q, k, v, heads):
+def _multihead(q, k, v, heads, scaled, bias=None):
+    """Attention per head over equal channel groups, joined along channels.
+
+    Head h reads channels [h*d, (h+1)*d) through a constant 0/1 selection
+    matrix and writes them back through its transpose, so the split and the
+    join copy values exactly.
+    """
     if heads == 1:
-        return attn_fn(q, k, v)
+        return attention(q, k, v, scaled, bias)
+    eye = np.eye(q.shape[-1])
     d = q.shape[-1] // heads
-    outs = []
+    out = None
     for h in range(heads):
-        sl = lambda t: ag.slice_lastdim(t, h * d, (h + 1) * d)
-        outs.append(attn_fn(sl(q), sl(k), sl(v)))
-    return ag.concat(outs, axis=-1)
+        pick = Tensor(eye[:, h * d:(h + 1) * d])
+        head = attention(ag.matmul(q, pick), ag.matmul(k, pick), ag.matmul(v, pick), scaled, bias)
+        part = ag.matmul(head, Tensor(eye[h * d:(h + 1) * d]))
+        out = part if out is None else ag.add(out, part)
+    return out
 
 
 def _check_image(img):
@@ -257,10 +247,7 @@ def _decoder(params, f_img, token_attn):
         p = f"dec.{layer}."
         k_img, v_img = _image_memory(params, f_img, layer)
         q = ag.matmul(tokens, params[p + "ca.wq"])
-        attn_a = _multihead(
-            lambda q_, k_, v_: attention(q_, k_, v_, scaled=cfg.scaled_attention),
-            q, k_img, v_img, cfg.heads,
-        )
+        attn_a = _multihead(q, k_img, v_img, cfg.heads, cfg.scaled_attention)
         tokens = ag.layernorm_lastdim(
             ag.add(tokens, ag.matmul(attn_a, params[p + "ca.wo"])),
             params[p + "ln1.g"], params[p + "ln1.b"],
@@ -284,16 +271,24 @@ def _logits(e_class, e_pixel):
     return ag.bilinear_upsample2x(ag.reshape(out, (e_class.shape[0], h, w)))
 
 
-def _self_attention_step(params, cfg):
+def _token_attention(params, cond_queries=None, bias=None):
+    """Sublayer (b) of `_decoder`: attention among the class tokens.
+
+    Queries are the tokens' own projection, or, in the cross-domain pass,
+    the conditioning branch's query of the same layer; `bias` is the
+    optional additive class bias.
+    """
+    cfg = params.config
+
     def token_attn(layer, tokens):
         p = f"dec.{layer}."
-        q = ag.matmul(tokens, params[p + "sa.wq"])
+        if cond_queries is None:
+            q = ag.matmul(tokens, params[p + "sa.wq"])
+        else:
+            q = cond_queries[layer]
         k = ag.matmul(tokens, params[p + "sa.wk"])
         v = ag.matmul(tokens, params[p + "sa.wv"])
-        at = _multihead(
-            lambda q_, k_, v_: attention(q_, k_, v_, scaled=cfg.scaled_attention),
-            q, k, v, cfg.heads,
-        )
+        at = _multihead(q, k, v, cfg.heads, cfg.scaled_attention, bias)
         return q, ag.matmul(at, params[p + "sa.wo"])
     return token_attn
 
@@ -302,7 +297,7 @@ def forward(params, img):
     """Standard forward pass: self-attention among the class tokens."""
     arr = _check_image(img)
     f_img, e_pixel = _backbone_and_pixels(params, arr)
-    layer_queries, e_class = _decoder(params, f_img, _self_attention_step(params, params.config))
+    layer_queries, e_class = _decoder(params, f_img, _token_attention(params))
     return ForwardTrace(f_img, e_pixel, layer_queries, e_class, _logits(e_class, e_pixel))
 
 
@@ -323,7 +318,7 @@ def forward_identity_token_attention(params, img):
     return ForwardTrace(f_img, e_pixel, layer_queries, e_class, _logits(e_class, e_pixel))
 
 
-def forward_cross(params, main, cond, bias, pairing):
+def forward_cross(params, main, cond, bias):
     """Cross-domain decoder pass over two existing forward traces.
 
     `main` is the trace of the main branch: its image features supply the
@@ -332,7 +327,8 @@ def forward_cross(params, main, cond, bias, pairing):
     the query each of its layers' token self-attention computed is that
     layer's query here, so queries use the same learned projection as the
     self-attention path. Each decoder layer's token self-attention is
-    replaced by class-aware cross-domain attention with the given bias.
+    replaced by class-aware cross-domain attention: those queries, keys and
+    values from the main branch's tokens, and the N x N class `bias`.
 
     Only the decoder runs here: the backbone and pixel decoder of both
     branches are those already recorded in the traces, which other loss
@@ -344,26 +340,7 @@ def forward_cross(params, main, cond, bias, pairing):
     pseudo-target image for OURS_PT_TO_INTERMEDIATE and the source image for
     both variants.
     """
-    if isinstance(pairing, str):
-        pairing = AttentionPairing(pairing)
-    if pairing == AttentionPairing.NONE:
-        raise ContractError("forward_cross requires a pairing other than NONE")
-    cfg = params.config
-    n = cfg.num_classes
-    if bias.shape != (n, n):
-        raise DimensionError(f"class bias must be {n}x{n}, got {tuple(bias.shape)}")
-
-    def token_attn(layer, tokens):
-        p = f"dec.{layer}."
-        q_cond = cond.layer_queries[layer]
-        k = ag.matmul(tokens, params[p + "sa.wk"])
-        v = ag.matmul(tokens, params[p + "sa.wv"])
-        at = _multihead(
-            lambda q_, k_, v_: class_aware_cross_attention(q_, k_, v_, bias, scaled=cfg.scaled_attention),
-            q_cond, k, v, cfg.heads,
-        )
-        return q_cond, ag.matmul(at, params[p + "sa.wo"])
-
+    token_attn = _token_attention(params, cond.layer_queries, bias)
     layer_queries, e_class = _decoder(params, main.f_img, token_attn)
     return ForwardTrace(main.f_img, main.e_pixel, layer_queries, e_class,
                         _logits(e_class, main.e_pixel))

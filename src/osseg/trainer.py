@@ -50,6 +50,12 @@ class TrainConfig:
             raise ArgumentError("ema_alpha must be in [0, 1)")
         if not 0.0 <= self.pseudo_label_threshold <= 1.0:
             raise ArgumentError("pseudo_label_threshold must be in [0, 1]")
+        if self.batch < 1:
+            raise ArgumentError(f"batch must be >= 1, got {self.batch}")
+        if self.iterations < 0:
+            raise ArgumentError(f"iterations must be >= 0, got {self.iterations}")
+        if self.crop < 8 or self.crop % 8:
+            raise ArgumentError(f"crop must be a positive multiple of 8, got {self.crop}")
 
 
 _CONFIG_PARSERS = {
@@ -225,7 +231,7 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
                 cond = forward(student, src_i_img)
                 src_terms.append(cross_entropy_pixelwise(cond.logits, y_i))
                 main, cd_label = pt_trace, y_i
-            trace = forward_cross(student, main, cond, bias, cfg.pairing)
+            trace = forward_cross(student, main, cond, bias)
             cd_terms.append(cross_entropy_pixelwise(trace.logits, cd_label))
 
     l_pt = _batch_mean(pt_terms)
@@ -280,8 +286,6 @@ def train(cfg, data, model_config=None):
     h, w = data.source[0].label.shape
     if cfg.crop > min(h, w):
         raise ArgumentError(f"crop {cfg.crop} exceeds image size {h}x{w}")
-    if cfg.crop % 8:
-        raise ArgumentError(f"crop {cfg.crop} must be divisible by 8")
 
     model_config = model_config or ModelConfig(attention_pairing=cfg.pairing)
     student = segmodel.init_params(model_config, seed=cfg.seed).trainable(True)

@@ -15,8 +15,8 @@ from osseg.autograd import Tensor
 from osseg.segmodel import (
     AttentionPairing,
     ModelConfig,
+    attention,
     build_class_bias,
-    cross_domain_attention,
     forward,
     forward_cross,
     forward_identity_token_attention,
@@ -122,9 +122,8 @@ def test_criterion_4_cacda_masking():
         if (sums[row_masked] != 0.0).any():
             masking_ok = False
 
-    from osseg.segmodel import class_aware_cross_attention
-    empty = class_aware_cross_attention(q, k, v, build_class_bias(n, set()))
-    plain = cross_domain_attention(q, k, v)
+    empty = attention(q, k, v, bias=build_class_bias(n, set()))
+    plain = attention(q, k, v)
     reduces = np.array_equal(empty.data, plain.data)
 
     model = ModelConfig(num_classes=n, embed_dim=8, decoder_layers=2,
@@ -133,8 +132,7 @@ def test_criterion_4_cacda_masking():
     img_m = rng.random((8, 8, 3))
     img_pt = rng.random((8, 8, 3))
     cross = forward_cross(params, forward(params, img_m), forward(params, img_pt),
-                          build_class_bias(n, set(range(n))),
-                          AttentionPairing.OURS_PT_TO_INTERMEDIATE).logits.data
+                          build_class_bias(n, set(range(n)))).logits.data
     reference = forward_identity_token_attention(params, img_m).logits.data
     residual_err = np.abs(cross - reference).max()
     ok = masking_ok and reduces and residual_err < 1e-9

@@ -3,14 +3,13 @@ import pytest
 
 from osseg import autograd as ag
 from osseg.autograd import Tensor, cross_entropy_pixelwise
-from osseg.errors import ArgumentError, ConfigurationError, ContractError, DimensionError, FormatError
+from osseg.errors import ArgumentError, ConfigurationError, DimensionError, FormatError
+from osseg.gradcheck import fd_gradient, rel_error
 from osseg.segmodel import (
-    AttentionPairing,
     ModelConfig,
+    _multihead,
     attention,
     build_class_bias,
-    class_aware_cross_attention,
-    cross_domain_attention,
     forward,
     forward_cross,
     forward_identity_token_attention,
@@ -19,8 +18,6 @@ from osseg.segmodel import (
     predict,
     save_checkpoint,
 )
-
-from fd_oracle import fd_gradient, rel_error
 
 TINY = ModelConfig(num_classes=3, embed_dim=8, decoder_layers=2, heads=1,
                    backbone_channels=(2, 4, 8))
@@ -32,6 +29,15 @@ def tiny_params(seed=0):
 
 def rand_img(rng, size=8):
     return rng.random((size, size, 3))
+
+
+def assert_grads_match_fd(params, loss_of, names):
+    """Analytic gradients of `loss_of()` against central differences."""
+    params.zero_grad()
+    ag.backward(loss_of())
+    for name in names:
+        fd = fd_gradient(lambda: loss_of().item(), params[name].data, step=1e-5)
+        assert rel_error(params[name].grad, fd) < 1e-3, name
 
 
 class TestAttention:
@@ -76,25 +82,8 @@ class TestCrossDomainAttention:
         q = Tensor(base)
         k = Tensor(base)
         v = Tensor(np.eye(3))
-        out = cross_domain_attention(q, k, v)
+        out = attention(q, k, v)
         assert np.allclose(np.diag(out.data), 1.0, atol=1e-12)
-
-    def test_identical_branches_equal_self_attention(self):
-        rng = np.random.default_rng(2)
-        t = Tensor(rng.standard_normal((3, 4)))
-        v = Tensor(rng.standard_normal((3, 4)))
-        assert np.array_equal(
-            cross_domain_attention(t, t, v).data, attention(t, t, v).data
-        )
-
-    def test_equals_generic_attention_bit_exactly(self):
-        rng = np.random.default_rng(3)
-        q = Tensor(rng.standard_normal((3, 5)))
-        k = Tensor(rng.standard_normal((3, 5)))
-        v = Tensor(rng.standard_normal((3, 5)))
-        assert np.array_equal(
-            cross_domain_attention(q, k, v).data, attention(q, k, v).data
-        )
 
 
 class TestClassBias:
@@ -130,15 +119,15 @@ class TestClassAwareAttention:
         k = Tensor(rng.standard_normal((5, 4)))
         v = Tensor(rng.standard_normal((5, 4)))
         bias = build_class_bias(5, set())
-        out = class_aware_cross_attention(q, k, v, bias)
-        assert np.array_equal(out.data, cross_domain_attention(q, k, v).data)
+        out = attention(q, k, v, bias=bias)
+        assert np.array_equal(out.data, attention(q, k, v).data)
 
     def test_all_classes_masked_gives_zero_rows(self):
         rng = np.random.default_rng(5)
         q = Tensor(rng.standard_normal((4, 3)))
         k = Tensor(rng.standard_normal((4, 3)))
         v = Tensor(rng.standard_normal((4, 3)))
-        out = class_aware_cross_attention(q, k, v, build_class_bias(4, {0, 1, 2, 3}))
+        out = attention(q, k, v, bias=build_class_bias(4, {0, 1, 2, 3}))
         assert np.array_equal(out.data, np.zeros((4, 3)))
 
     def test_unmasked_rows_renormalize_over_submatrix(self):
@@ -178,7 +167,7 @@ class TestClassAwareAttention:
         rng = np.random.default_rng(8)
         q = Tensor(rng.standard_normal((3, 4)))
         with pytest.raises(DimensionError):
-            class_aware_cross_attention(q, q, q, Tensor(np.zeros((2, 2))))
+            attention(q, q, q, bias=Tensor(np.zeros((2, 2))))
 
 
 class TestForward:
@@ -234,41 +223,79 @@ class TestForward:
         params = tiny_params(seed=2)
         img = rand_img(np.random.default_rng(15))
         label = np.random.default_rng(16).integers(0, 3, (8, 8)).astype(np.uint8)
-        loss = cross_entropy_pixelwise(forward(params, img).logits, label)
-        ag.backward(loss)
-        for name in ["backbone.0.w", "pixdec.1.w", "query_embed", "dec.0.sa.wq",
-                     "dec.1.ffn.w1", "dec.0.ln1.g", "dec.1.ca.wv"]:
-            t = params[name]
-            analytic = t.grad.copy()
+        assert_grads_match_fd(
+            params, lambda: cross_entropy_pixelwise(forward(params, img).logits, label),
+            ["backbone.0.w", "pixdec.1.w", "query_embed", "dec.0.sa.wq",
+             "dec.1.ffn.w1", "dec.0.ln1.g", "dec.1.ca.wv"],
+        )
 
-            def scalar_fn(arr, name=name):
-                saved = params[name].data
-                params.tensors[name].data = arr
-                val = cross_entropy_pixelwise(forward(params, img).logits, label).item()
-                params.tensors[name].data = saved
-                return val
 
-            fd = fd_gradient(scalar_fn, t.data.copy(), step=1e-5)
-            assert rel_error(analytic, fd) < 1e-3, name
+class TestMultihead:
+    HEADS2 = ModelConfig(num_classes=3, embed_dim=8, decoder_layers=2, heads=2,
+                         backbone_channels=(2, 4, 8))
+
+    @staticmethod
+    def _reference(q, k, v, heads, scaled, sampled):
+        """Per-head softmax over the unmasked keys, heads joined along channels."""
+        n, m = q.shape[0], k.shape[0]
+        alive = np.ones((n, m), dtype=bool)
+        for c in sampled or ():
+            alive[c, :] = alive[:, c] = False
+        d = q.shape[1] // heads
+        outs = []
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            logits = q[:, cols] @ k[:, cols].T / (np.sqrt(d) if scaled else 1.0)
+            weights = np.zeros((n, m))
+            for r in range(n):
+                if alive[r].any():
+                    e = np.exp(logits[r, alive[r]] - logits[r, alive[r]].max())
+                    weights[r, alive[r]] = e / e.sum()
+            outs.append(weights @ v[:, cols])
+        return np.concatenate(outs, axis=1)
+
+    @pytest.mark.parametrize("sampled,scaled", [
+        (None, False), (None, True), ({1}, False), ({0, 2}, True), ({0, 1, 2}, False),
+    ])
+    def test_two_heads_match_numpy_reference(self, sampled, scaled):
+        rng = np.random.default_rng(24)
+        q, k, v = (rng.standard_normal((3, 8)) for _ in range(3))
+        bias = None if sampled is None else build_class_bias(3, sampled)
+        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, scaled, bias)
+        assert np.allclose(out.data, self._reference(q, k, v, 2, scaled, sampled),
+                           rtol=0.0, atol=1e-12)
+
+    def test_two_heads_over_image_memory(self):
+        # Cross-attention shape: 3 queries over 6 keys, no bias.
+        rng = np.random.default_rng(25)
+        q = rng.standard_normal((3, 8))
+        k, v = rng.standard_normal((6, 8)), rng.standard_normal((6, 8))
+        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, False)
+        assert np.allclose(out.data, self._reference(q, k, v, 2, False, None),
+                           rtol=0.0, atol=1e-12)
+
+    def test_gradient_of_two_head_cross_loss(self):
+        params = init_params(self.HEADS2, seed=8)
+        rng = np.random.default_rng(26)
+        img_m, img_pt = rand_img(rng), rand_img(rng)
+        label = rng.integers(0, 3, (8, 8)).astype(np.uint8)
+        bias = build_class_bias(3, {2})
+
+        def loss_of():
+            trace = forward_cross(params, forward(params, img_m), forward(params, img_pt), bias)
+            return cross_entropy_pixelwise(trace.logits, label)
+
+        assert_grads_match_fd(params, loss_of,
+                              ["dec.0.sa.wq", "dec.1.sa.wv", "dec.0.ca.wk", "dec.1.sa.wo"])
 
 
 class TestForwardCross:
-    def test_requires_pairing(self):
-        params = tiny_params()
-        img = rand_img(np.random.default_rng(17))
-        trace = forward(params, img)
-        with pytest.raises(ContractError):
-            forward_cross(params, trace, trace, build_class_bias(3, set()), AttentionPairing.NONE)
-
     def test_identical_images_empty_set_equals_forward(self):
         params = tiny_params(seed=3)
         img = rand_img(np.random.default_rng(18))
         trace = forward(params, img)
         plain = trace.logits.data
-        cross = forward_cross(
-            params, trace, trace, build_class_bias(3, set()),
-            AttentionPairing.OURS_PT_TO_INTERMEDIATE,
-        ).logits.data
+        cross = forward_cross(params, trace, trace, build_class_bias(3, set())).logits.data
         assert np.abs(cross - plain).max() < 1e-9
 
     def test_fully_masked_bias_matches_identity_sublayer_path(self):
@@ -278,7 +305,6 @@ class TestForwardCross:
         img_pt = rand_img(rng)
         cross = forward_cross(
             params, forward(params, img_m), forward(params, img_pt), build_class_bias(3, {0, 1, 2}),
-            AttentionPairing.OURS_PT_TO_INTERMEDIATE,
         ).logits.data
         reference = forward_identity_token_attention(params, img_m).logits.data
         assert np.abs(cross - reference).max() < 1e-9
@@ -290,7 +316,6 @@ class TestForwardCross:
         img_pt = rand_img(rng)
         cross = forward_cross(
             params, forward(params, img_m), forward(params, img_pt), build_class_bias(3, set()),
-            AttentionPairing.OURS_PT_TO_INTERMEDIATE,
         ).logits.data
         plain = forward(params, img_m).logits.data
         assert np.abs(cross - plain).max() > 1e-9
@@ -304,24 +329,17 @@ class TestForwardCross:
         bias = build_class_bias(3, {1})
 
         def loss_of():
-            trace = forward_cross(params, forward(params, img_m), forward(params, img_pt), bias,
-                                  AttentionPairing.OURS_PT_TO_INTERMEDIATE)
+            trace = forward_cross(params, forward(params, img_m), forward(params, img_pt), bias)
             return cross_entropy_pixelwise(trace.logits, label)
 
-        loss = loss_of()
-        ag.backward(loss)
-        for name in ["dec.0.sa.wq", "dec.1.sa.wk", "backbone.1.w", "query_embed"]:
-            analytic = params[name].grad.copy()
+        assert_grads_match_fd(params, loss_of,
+                              ["dec.0.sa.wq", "dec.1.sa.wk", "backbone.1.w", "query_embed"])
 
-            def scalar_fn(arr, name=name):
-                saved = params[name].data
-                params.tensors[name].data = arr
-                val = loss_of().item()
-                params.tensors[name].data = saved
-                return val
-
-            fd = fd_gradient(scalar_fn, params[name].data.copy(), step=1e-5)
-            assert rel_error(analytic, fd) < 1e-3, name
+    def test_wrong_bias_shape(self):
+        params = tiny_params()
+        trace = forward(params, rand_img(np.random.default_rng(17)))
+        with pytest.raises(DimensionError):
+            forward_cross(params, trace, trace, build_class_bias(4, set()))
 
 
 class TestPredict:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from osseg import autograd as ag
 from osseg.errors import ArgumentError
-from osseg.segmodel import AttentionPairing, ModelConfig, init_params
+from osseg.segmodel import AttentionPairing, ModelConfig, init_params, predict
 from osseg.synthdata import (
     IGNORE,
     TARGET_PALETTE,
@@ -297,6 +298,28 @@ class TestTrain:
                         model_config=TINY_MODEL)
         _, log2 = train(cfg, data, model_config=TINY_MODEL)
         assert log1[0].l_pt == log2[0].l_pt
+
+
+class TestConvIndexCache:
+    def test_many_input_sizes_stay_bounded(self):
+        params = init_params(TINY_MODEL)
+        ag._conv_indices.cache_clear()
+        for width in range(8, 8 * 41, 8):
+            predict(params, np.zeros((8, width, 3)))
+        assert ag._conv_indices.cache_info().currsize <= 32
+
+    def test_train_and_predict_working_set_is_cached(self):
+        cfg = quick_cfg(iterations=2, crop=32, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
+        data = small_data()
+        ag._conv_indices.cache_clear()
+        teacher, _ = train(cfg, data)
+        predict(teacher, data.source[0].image)
+        first = ag._conv_indices.cache_info()
+        train(cfg, data)
+        predict(teacher, data.source[0].image)
+        again = ag._conv_indices.cache_info()
+        assert again.misses == first.misses
+        assert again.hits > first.hits
 
 
 class TestConfigFile:
