@@ -4,9 +4,8 @@ __version__ = "0.1.0"
 
 from .autograd import Tensor, backward, cross_entropy_pixelwise  # noqa: F401
 from .evalmetrics import ConfusionMatrix, IoUReport, accumulate, iou_report  # noqa: F401
-from .mixer import MixPair, SampledClassSet, build_mask, mix, mix_with_ground_truth, sample_classes  # noqa: F401
+from .mixer import MixPair, build_mask, mix, mix_with_ground_truth, sample_classes  # noqa: F401
 from .segmodel import (  # noqa: F401
-    AttentionPairing,
     ModelConfig,
     ModelParams,
     attention,
@@ -32,4 +31,4 @@ from .synthdata import (  # noqa: F401
     write_image,
     write_label,
 )
-from .trainer import LossReport, TrainConfig, TrainData, pseudo_label, train, train_step  # noqa: F401
+from .trainer import AttentionPairing, LossReport, TrainConfig, TrainData, pseudo_label, train, train_step  # noqa: F401

@@ -132,17 +132,6 @@ def add(a, b):
     return _node(data, (a, b), bw)
 
 
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), bw)
-
-
 def scale(a, s):
     a = _as_tensor(a)
     s = float(s)

@@ -53,9 +53,7 @@ def cmd_gen_data(args):
     else:
         spec = SceneSpec(palette=TARGET_PALETTE, layout_mode=LayoutMode.DENSE_CITY,
                          seed=args.seed, image_size=(args.size, args.size))
-    if args.count < 1:
-        raise ArgumentError(f"count must be >= 1, got {args.count}")
-    samples = [synthdata.generate_sample(spec, i) for i in range(args.count)]
+    samples = synthdata.generate_dataset(spec, args.count)
     write_dataset(args.out, args.domain, samples)
     _write_run_manifest(
         args.out, "gen-data",
@@ -94,11 +92,11 @@ def cmd_mix(args):
         j = int(rng.integers(0, len(acceptors)))
         acceptor = acceptors[j]
         acceptor.pseudo_label = read_label(os.path.join(args.pseudo_dir, f"lbl_{j}.pgm"))
-        sampled = mixer.sample_classes(donors[i].label, rng, drawn_from=i)
+        sampled = mixer.sample_classes(donors[i].label, rng)
         mask = mixer.build_mask(donors[i].label, sampled)
         pair = mixer.MixPair(donor=donors[i], acceptor=acceptor)
         out_samples.append(mixer.mix(pair, mask))
-        sidecars.append((i, j, sorted(sampled.classes)))
+        sidecars.append((i, j, sorted(sampled)))
     write_dataset(args.out_dir, "mix", out_samples)
     for n, (i, j, classes) in enumerate(sidecars):
         side = os.path.join(args.out_dir, "mix", f"mix_{n}.txt")

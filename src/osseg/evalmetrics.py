@@ -28,10 +28,6 @@ class ConfusionMatrix:
                     f"counts shape {self.counts.shape} != ({self.num_classes}, {self.num_classes})"
                 )
 
-    def merge(self, other):
-        self.counts += other.counts
-        return self
-
 
 @dataclass
 class IoUReport:

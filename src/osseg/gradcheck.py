@@ -1,10 +1,9 @@
-"""Finite-difference verification of every backward rule and loss gradient.
+"""Finite-difference verification of every backward rule and of the step loss.
 
 Runs at 8x8 / 3-class scale: first each tensor op's gradient of a random
-scalar projection, then the gradient of the three training losses, and of
-their weighted sum over shared forward traces as a train step builds it,
-with respect to every parameter tensor of a small model. Central
-differences throughout; errors are norm-relative.
+scalar projection, then the gradient of `trainer.step_loss`, the loss a
+train step backpropagates, with respect to every parameter tensor of a
+small model. Central differences throughout; errors are norm-relative.
 """
 
 from collections import OrderedDict
@@ -12,13 +11,12 @@ from collections import OrderedDict
 import numpy as np
 
 from . import autograd as ag
-from . import mixer
 from .autograd import Tensor, cross_entropy_pixelwise
 from .rng import derive_rng
-from .segmodel import ModelConfig, build_class_bias, forward, forward_cross, init_params
+from .segmodel import ModelConfig, init_params
 from .styletransfer import FdaConfig, fda_stylize
 from .synthdata import DomainSample, DomainTag
-from .trainer import TrainConfig, pseudo_label
+from .trainer import AttentionPairing, TrainConfig, step_loss
 
 GATE = 1e-3
 
@@ -54,15 +52,14 @@ def rel_error(a, b, atol=1e-7):
     return float(np.linalg.norm((a - b).reshape(-1)) / max(na, nb))
 
 
-def _check_op(build, shapes, rng, step=1e-6):
+def check_op(build, shapes, rng, step=1e-6):
     """Max rel error between analytic and FD gradients over all inputs."""
     arrays = [rng.standard_normal(s) for s in shapes]
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     out = build(*tensors)
     w = rng.standard_normal(out.shape)
-    proj = ag.reshape(ag.mul(out, Tensor(w)), (1, out.size))
-    proj = ag.matmul(proj, Tensor(np.ones((out.size, 1))))
-    ag.backward(proj)
+    n = out.size
+    ag.backward(ag.matmul(ag.reshape(out, (1, n)), Tensor(w.reshape(n, 1))))
     worst = 0.0
     for arr, t in zip(arrays, tensors):
         def scalar():
@@ -77,69 +74,52 @@ def _op_checks(rng):
     label = rng.integers(0, 3, (4, 4)).astype(np.uint8)
     label[0, 0] = ag.IGNORE_LABEL
     checks = OrderedDict([
-        ("ops.add", lambda: _check_op(ag.add, [(3, 4), (4,)], rng)),
-        ("ops.mul", lambda: _check_op(ag.mul, [(3, 4), (3, 4)], rng)),
-        ("ops.scale", lambda: _check_op(lambda a: ag.scale(a, 1.7), [(5,)], rng)),
-        ("ops.matmul", lambda: _check_op(ag.matmul, [(3, 4), (4, 2)], rng)),
-        ("ops.transpose", lambda: _check_op(ag.transpose, [(3, 5)], rng)),
-        ("ops.reshape", lambda: _check_op(lambda a: ag.reshape(a, (2, 6)), [(3, 4)], rng)),
-        ("ops.relu", lambda: _check_op(ag.relu, [(4, 4)], rng)),
-        ("ops.softmax", lambda: _check_op(ag.softmax_lastdim, [(4, 5)], rng)),
-        ("ops.layernorm", lambda: _check_op(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], rng)),
-        ("ops.conv2d", lambda: _check_op(
+        ("ops.add", lambda: check_op(ag.add, [(3, 4), (4,)], rng)),
+        ("ops.scale", lambda: check_op(lambda a: ag.scale(a, 1.7), [(5,)], rng)),
+        ("ops.matmul", lambda: check_op(ag.matmul, [(3, 4), (4, 2)], rng)),
+        ("ops.transpose", lambda: check_op(ag.transpose, [(3, 5)], rng)),
+        ("ops.reshape", lambda: check_op(lambda a: ag.reshape(a, (2, 6)), [(3, 4)], rng)),
+        ("ops.relu", lambda: check_op(ag.relu, [(4, 4)], rng)),
+        ("ops.softmax", lambda: check_op(ag.softmax_lastdim, [(4, 5)], rng)),
+        ("ops.layernorm", lambda: check_op(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], rng)),
+        ("ops.conv2d", lambda: check_op(
             lambda x, w: ag.conv2d(x, w, stride=1, pad=1), [(2, 5, 5), (3, 2, 3, 3)], rng)),
         # Odd input, and even input (the backbone's floor case).
-        ("ops.conv2d_strided", lambda: max(_check_op(
+        ("ops.conv2d_strided", lambda: max(check_op(
             lambda x, w: ag.conv2d(x, w, stride=2, pad=1), [(2, h, h), (3, 2, 3, 3)], rng)
             for h in (7, 8))),
-        ("ops.upsample2x", lambda: _check_op(ag.bilinear_upsample2x, [(2, 3, 4)], rng)),
-        ("ops.cross_entropy", lambda: _check_op(
+        ("ops.upsample2x", lambda: check_op(ag.bilinear_upsample2x, [(2, 3, 4)], rng)),
+        ("ops.cross_entropy", lambda: check_op(
             lambda x: cross_entropy_pixelwise(x, label), [(3, 4, 4)], rng)),
     ])
     return OrderedDict((name, fn()) for name, fn in checks.items())
 
 
-def _loss_setup(seed):
-    """A miniature train-step state: stylized, mixed and bias inputs."""
+def _step_losses(seed):
+    """`step_loss` of one 8x8 source, pseudo-target and acceptor sample.
+
+    `step.ours` runs OURS_PT_TO_INTERMEDIATE with IDR and `step.variant_st`
+    VARIANT_ST without, so together they cover l_pt, l_idr, l_src and l_cd
+    with both slot assignments. With lambda_cd = 1 the cross pass weighs
+    as much as the other terms, and a fresh step stream per evaluation
+    draws the same crop and classes every time.
+    """
     rng = derive_rng(seed, "gradcheck")
     student = init_params(CHECK_MODEL, seed=seed).trainable(True)
     teacher = student.copy()
-    src_i = rng.random((8, 8, 3))
-    src_j = rng.random((8, 8, 3))
-    reference = rng.random((8, 8, 3))
-    y_i = rng.integers(0, 3, (8, 8)).astype(np.uint8)
-    pt_img = fda_stylize(src_i, reference, FdaConfig(beta=0.25))
-    sampled = mixer.sample_classes(y_i, rng)
-    mask = mixer.build_mask(y_i, sampled)
-    pair = mixer.MixPair(
-        donor=DomainSample(pt_img, y_i, DomainTag.PSEUDO_TARGET),
-        acceptor=DomainSample(
-            src_j, rng.integers(0, 3, (8, 8)).astype(np.uint8),
-            DomainTag.SOURCE, pseudo_label=pseudo_label(teacher, src_j),
-        ),
-    )
-    mixed = mixer.mix(pair, mask)
-    bias = build_class_bias(3, sampled.classes)
+    src = DomainSample(rng.random((8, 8, 3)), rng.integers(0, 3, (8, 8)).astype(np.uint8))
+    pt = DomainSample(fda_stylize(src.image, rng.random((8, 8, 3)), FdaConfig(beta=0.25)),
+                      src.label, DomainTag.PSEUDO_TARGET)
+    acceptor = DomainSample(rng.random((8, 8, 3)), rng.integers(0, 3, (8, 8)).astype(np.uint8))
 
-    def l_step():
-        # As in train_step: l_pt and the conditioning branch share the
-        # pseudo-target trace, l_idr and the main branch the mixed trace.
-        pt = forward(student, pt_img)
-        mix = forward(student, mixed.image)
-        l_cd = cross_entropy_pixelwise(forward_cross(student, mix, pt, bias).logits, mixed.label)
-        return ag.add(
-            ag.add(cross_entropy_pixelwise(pt.logits, y_i),
-                   cross_entropy_pixelwise(mix.logits, mixed.label)),
-            ag.scale(l_cd, TrainConfig.lambda_cd),
-        )
+    def loss_fn(**kw):
+        cfg = TrainConfig(batch=1, crop=8, lambda_cd=1.0, **kw)
+        return lambda: step_loss(student, teacher, [src], [pt], [acceptor],
+                                 derive_rng(seed, "gradcheck-step"), cfg)[0]
 
     losses = OrderedDict([
-        ("l_pt", lambda: cross_entropy_pixelwise(forward(student, pt_img).logits, y_i)),
-        ("l_idr", lambda: cross_entropy_pixelwise(forward(student, mixed.image).logits, mixed.label)),
-        ("l_cd", lambda: cross_entropy_pixelwise(
-            forward_cross(student, forward(student, mixed.image), forward(student, pt_img), bias).logits,
-            mixed.label)),
-        ("l_step", l_step),
+        ("step.ours", loss_fn(pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)),
+        ("step.variant_st", loss_fn(pairing=AttentionPairing.VARIANT_ST, use_idr=False)),
     ])
     return student, losses
 
@@ -161,7 +141,7 @@ def run_gradcheck(seed=0):
     """All finite-difference groups; returns OrderedDict name -> max rel error."""
     rng = derive_rng(seed, "gradcheck-ops")
     results = _op_checks(rng)
-    student, losses = _loss_setup(seed)
+    student, losses = _step_losses(seed)
     for name, loss_fn in losses.items():
         results[name] = _check_loss(student, loss_fn)
     return results

@@ -15,15 +15,6 @@ from .synthdata import IGNORE, DomainSample, DomainTag
 
 
 @dataclass
-class SampledClassSet:
-    classes: frozenset
-    drawn_from: int = -1  # index of the donor sample, -1 when standalone
-
-    def __post_init__(self):
-        self.classes = frozenset(int(c) for c in self.classes)
-
-
-@dataclass
 class MixPair:
     donor: DomainSample  # pseudo-target sample, carries its ground-truth label
     acceptor: DomainSample  # source sample, must carry a pseudo-label
@@ -46,23 +37,22 @@ def present_classes(label):
     return [int(v) for v in values if v != IGNORE]
 
 
-def sample_classes(label, rng, drawn_from=-1):
-    """Uniform draw without replacement of ceil(k/2) of the k present classes."""
+def sample_classes(label, rng):
+    """Frozenset of ceil(k/2) of the k present classes, drawn uniformly without replacement."""
     candidates = present_classes(label)
     k = len(candidates)
     if k == 0:
         raise EmptyLabelError("label contains no non-ignore pixels")
     take = (k + 1) // 2
     chosen = rng.choice(np.asarray(candidates), size=take, replace=False)
-    return SampledClassSet(classes=frozenset(int(c) for c in chosen), drawn_from=drawn_from)
+    return frozenset(int(c) for c in chosen)
 
 
 def build_mask(label, classes):
     """Binary mask: 1 where the label's class is sampled, 0 elsewhere (incl. ignore)."""
-    class_set = classes.classes if isinstance(classes, SampledClassSet) else frozenset(classes)
-    if not class_set:
+    if not classes:
         return np.zeros(label.shape, dtype=np.uint8)
-    mask = np.isin(label, sorted(class_set)) & (label != IGNORE)
+    mask = np.isin(label, sorted(classes)) & (label != IGNORE)
     return mask.astype(np.uint8)
 
 

@@ -20,7 +20,6 @@ import io
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -32,13 +31,6 @@ from .rng import derive_rng
 CHECKPOINT_MAGIC = b"OSSEG1"
 
 
-class AttentionPairing(Enum):
-    NONE = "none"
-    OURS_PT_TO_INTERMEDIATE = "ours_pt_to_intermediate"
-    VARIANT_ST = "variant_st"
-    VARIANT_S = "variant_s"
-
-
 @dataclass
 class ModelConfig:
     num_classes: int = 5
@@ -46,13 +38,10 @@ class ModelConfig:
     decoder_layers: int = 2
     heads: int = 1
     backbone_channels: tuple = (8, 16, 32)
-    attention_pairing: AttentionPairing = AttentionPairing.NONE
     scaled_attention: bool = False
 
     def __post_init__(self):
         self.backbone_channels = tuple(int(c) for c in self.backbone_channels)
-        if isinstance(self.attention_pairing, str):
-            self.attention_pairing = AttentionPairing(self.attention_pairing)
         if self.embed_dim % self.heads != 0:
             raise ConfigurationError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
@@ -333,12 +322,6 @@ def forward_cross(params, main, cond, bias):
     Only the decoder runs here: the backbone and pixel decoder of both
     branches are those already recorded in the traces, which other loss
     terms may share.
-
-    The caller chooses which traces occupy the two slots: the main branch is
-    the intermediate image for OURS_PT_TO_INTERMEDIATE and VARIANT_S and the
-    pseudo-target image for VARIANT_ST; the conditioning branch is the
-    pseudo-target image for OURS_PT_TO_INTERMEDIATE and the source image for
-    both variants.
     """
     token_attn = _token_attention(params, cond.layer_queries, bias)
     layer_queries, e_class = _decoder(params, main.f_img, token_attn)
@@ -361,7 +344,6 @@ def _config_block(cfg):
         f"decoder_layers={cfg.decoder_layers}",
         f"heads={cfg.heads}",
         "backbone_channels=" + ",".join(str(c) for c in cfg.backbone_channels),
-        f"attention_pairing={cfg.attention_pairing.value}",
         f"scaled_attention={int(cfg.scaled_attention)}",
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -378,7 +360,6 @@ def _parse_config_block(blob):
         decoder_layers=int(fields["decoder_layers"]),
         heads=int(fields["heads"]),
         backbone_channels=tuple(int(c) for c in fields["backbone_channels"].split(",")),
-        attention_pairing=AttentionPairing(fields["attention_pairing"]),
         scaled_attention=bool(int(fields["scaled_attention"])),
     )
 

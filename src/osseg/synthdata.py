@@ -76,6 +76,10 @@ class SceneSpec:
             )
         if self.texture_noise_sigma < 0:
             raise ArgumentError("texture_noise_sigma must be >= 0")
+        if any(s < 8 or s % 8 for s in self.image_size):
+            raise ArgumentError(
+                f"image_size entries must be positive multiples of 8, got {self.image_size}"
+            )
 
 
 @dataclass

@@ -13,6 +13,7 @@ decoder over two of those traces (see `segmodel.forward_cross`).
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -21,10 +22,26 @@ from . import mixer, segmodel, styletransfer
 from .autograd import Tensor, cross_entropy_pixelwise
 from .errors import ArgumentError, TrainingError
 from .rng import derive_rng
-from .segmodel import AttentionPairing, ModelConfig, build_class_bias, forward, forward_cross
+from .segmodel import ModelConfig, build_class_bias, forward, forward_cross
 from .synthdata import IGNORE, DomainSample, DomainTag
 
 _BOOL_VALUES = {"true": True, "1": True, "false": False, "0": False}
+
+
+class AttentionPairing(Enum):
+    """Which traces fill the two slots of `segmodel.forward_cross`.
+
+    The main branch is the intermediate image for OURS_PT_TO_INTERMEDIATE
+    and VARIANT_S and the pseudo-target image for VARIANT_ST; the
+    conditioning branch is the pseudo-target image for
+    OURS_PT_TO_INTERMEDIATE and the source image for both variants. NONE
+    runs no cross-domain pass.
+    """
+
+    NONE = "none"
+    OURS_PT_TO_INTERMEDIATE = "ours_pt_to_intermediate"
+    VARIANT_ST = "variant_st"
+    VARIANT_S = "variant_s"
 
 
 @dataclass
@@ -44,8 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.pairing, str):
             self.pairing = AttentionPairing(self.pairing)
-        if self.lambda_cd < 0:
-            raise ArgumentError("lambda_cd must be >= 0")
+        if not (math.isfinite(self.lambda_cd) and self.lambda_cd >= 0):
+            raise ArgumentError(f"lambda_cd must be finite and >= 0, got {self.lambda_cd}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ArgumentError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.ema_alpha < 1.0:
             raise ArgumentError("ema_alpha must be in [0, 1)")
         if not 0.0 <= self.pseudo_label_threshold <= 1.0:
@@ -171,13 +190,13 @@ def _check_finite(value, term, step):
         raise TrainingError(f"step {step}: loss term {term} is non-finite ({value})")
 
 
-def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
-               optimizer, step=0):
-    """One optimization step over an aligned batch.
+def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
+    """The loss graph of one step over an aligned batch: (total, LossReport).
 
     `batch_src[b]` and `batch_pt[b]` share the same index i (the source
     image and its stylized twin); `batch_acceptor[b]` is the independently
-    drawn source sample j. Returns the LossReport for this step.
+    drawn source sample j. `total` is `l_pt + l_idr + lambda_cd * l_cd`,
+    plus `l_src` for VARIANT_ST.
 
     Per sample, the student traces the pseudo-target crop, the mixed crop
     (when IDR or the pairing needs it) and the source crop (variants only)
@@ -222,7 +241,7 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
             idr_terms.append(cross_entropy_pixelwise(mixed_trace.logits, mixed.label))
 
         if cfg.pairing is not AttentionPairing.NONE:
-            bias = build_class_bias(n, sampled.classes)
+            bias = build_class_bias(n, sampled)
             if cfg.pairing is AttentionPairing.OURS_PT_TO_INTERMEDIATE:
                 main, cond, cd_label = mixed_trace, pt_trace, mixed.label
             elif cfg.pairing is AttentionPairing.VARIANT_S:
@@ -247,11 +266,15 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
         l_pt=l_pt.item(), l_idr=l_idr.item(), l_cd=l_cd.item(), l_total=total.item(),
         l_src=l_src.item() if l_src is not None else None,
     )
-    _check_finite(report.l_pt, "l_pt", step)
-    _check_finite(report.l_idr, "l_idr", step)
-    _check_finite(report.l_cd, "l_cd", step)
-    _check_finite(report.l_total, "l_total", step)
+    return total, report
 
+
+def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
+               optimizer, step=0):
+    """One optimization step over `step_loss`; returns its LossReport."""
+    total, report = step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg)
+    for term in ("l_pt", "l_idr", "l_cd", "l_total"):
+        _check_finite(getattr(report, term), term, step)
     student.zero_grad()
     ag.backward(total)
     optimizer.step()
@@ -287,7 +310,7 @@ def train(cfg, data, model_config=None):
     if cfg.crop > min(h, w):
         raise ArgumentError(f"crop {cfg.crop} exceeds image size {h}x{w}")
 
-    model_config = model_config or ModelConfig(attention_pairing=cfg.pairing)
+    model_config = model_config or ModelConfig()
     student = segmodel.init_params(model_config, seed=cfg.seed).trainable(True)
     teacher = student.copy()  # starts as an exact copy, never sees gradients
     optimizer = AdamW(student, lr=cfg.lr)

@@ -13,7 +13,6 @@ from osseg import autograd as ag
 from osseg import cli, evalmetrics, gradcheck, mixer, styletransfer, synthdata
 from osseg.autograd import Tensor
 from osseg.segmodel import (
-    AttentionPairing,
     ModelConfig,
     attention,
     build_class_bias,
@@ -34,7 +33,7 @@ from osseg.synthdata import (
     LayoutMode,
     SceneSpec,
 )
-from osseg.trainer import TrainConfig, TrainData, train
+from osseg.trainer import AttentionPairing, TrainConfig, TrainData, train
 
 
 def _report(num, ok, detail=""):

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from osseg import autograd as ag
-from osseg import cli, synthdata
+from osseg import cli, segmodel, synthdata, trainer
 from osseg.autograd import Tensor
 from osseg.segmodel import (
-    AttentionPairing,
     ModelConfig,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
 from osseg.synthdata import DomainSample, DomainTag, SceneSpec, read_image, read_label
-from osseg.trainer import TrainConfig, TrainData, train
+from osseg.trainer import AttentionPairing, TrainConfig, TrainData, train
 
 
 def run(*argv):
@@ -38,6 +37,22 @@ class TestGenData:
     def test_count_zero_is_usage_error(self, tmp_path):
         assert run("gen-data", "--domain", "source", "--count", "0",
                    "--out", str(tmp_path / "d")) == 2
+
+    @pytest.mark.parametrize("size", ["0", "-8", "4", "12"])
+    def test_size_not_a_positive_multiple_of_8_is_usage_error(self, tmp_path, capsys, size):
+        out = tmp_path / "d"
+        assert run("gen-data", "--domain", "source", "--count", "1", "--size", size,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_size_8_generates(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("gen-data", "--domain", "target", "--count", "2", "--size", "8",
+                   "--out", str(out)) == 0
+        assert read_image(out / "target" / "img_0.ppm").shape == (8, 8, 3)
 
     def test_bad_flag_is_usage_error(self, tmp_path):
         assert run("gen-data", "--domain", "moon", "--count", "1",
@@ -150,6 +165,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", [
         "batch = -1", "batch = 0", "crop = 0", "crop = -8", "crop = 12", "iterations = -1",
+        "lr = -1", "lr = 0", "lr = nan", "lambda_cd = nan", "lambda_cd = inf",
     ])
     def test_impossible_config_is_usage_error(self, pipeline, tmp_path, capsys, line):
         cfgfile = tmp_path / "cfg.txt"
@@ -269,6 +285,25 @@ class TestGradcheckCommand:
         monkeypatch.setattr(ag, "relu", broken_relu)
         assert run("gradcheck") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_corrupted_cross_pass_fails_both_step_groups(self, monkeypatch, capsys):
+        # Only the cross-domain pass's logit gradient is wrong: the op groups
+        # pass, and each step group must catch it through `step_loss`.
+        real_cross = segmodel.forward_cross
+
+        def broken_cross(params, main, cond, bias):
+            trace = real_cross(params, main, cond, bias)
+            orig = trace.logits._backward_fn
+            trace.logits._backward_fn = lambda g: orig(g * 1.5)
+            return trace
+
+        monkeypatch.setattr(segmodel, "forward_cross", broken_cross)
+        monkeypatch.setattr(trainer, "forward_cross", broken_cross)
+        assert run("gradcheck") == 1
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert lines["step.ours"].endswith("FAIL")
+        assert lines["step.variant_st"].endswith("FAIL")
+        assert lines["ops.conv2d"].endswith("PASS")
 
     def test_missing_subcommand_is_usage_error(self):
         assert run() == 2

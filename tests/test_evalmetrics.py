@@ -67,18 +67,6 @@ class TestAccumulate:
             accumulate(b, p, g)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_parallel_merge_equals_serial(self):
-        rng = np.random.default_rng(2)
-        preds = [rng.integers(0, 3, (4, 4)).astype(np.uint8) for _ in range(4)]
-        gts = [rng.integers(0, 3, (4, 4)).astype(np.uint8) for _ in range(4)]
-        serial = ConfusionMatrix(3)
-        for p, g in zip(preds, gts):
-            accumulate(serial, p, g)
-        merged = ConfusionMatrix(3)
-        for p, g in zip(preds, gts):
-            merged.merge(accumulate(ConfusionMatrix(3), p, g))
-        assert np.array_equal(serial.counts, merged.counts)
-
 
 class TestIoUReport:
     def test_perfect_prediction_scores_one(self):

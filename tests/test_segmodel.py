@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,25 @@ class TestCheckpoint:
             assert np.array_equal(loaded[name].data, params[name].data)
         save_checkpoint(tmp_path / "again.osseg", loaded)
         assert (tmp_path / "model.osseg").read_bytes() == (tmp_path / "again.osseg").read_bytes()
+
+    def test_attention_pairing_line_is_skipped(self, tmp_path):
+        # Checkpoints written while the model config recorded the trainer's
+        # pairing carry an `attention_pairing=` line; it selects nothing.
+        params = init_params(TINY, seed=2)
+        path = tmp_path / "model.osseg"
+        save_checkpoint(path, params)
+        blob = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", blob[6:10])
+        cfg_blob = blob[10:10 + cfg_len].replace(
+            b"scaled_attention=", b"attention_pairing=variant_st\nscaled_attention=")
+        old = tmp_path / "old.osseg"
+        old.write_bytes(blob[:6] + struct.pack("<I", len(cfg_blob)) + cfg_blob
+                        + blob[10 + cfg_len:])
+        loaded = load_checkpoint(old)
+        assert loaded.config == params.config
+        assert loaded.names() == params.names()
+        for name in params.names():
+            assert np.array_equal(loaded[name].data, params[name].data)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.osseg"

@@ -25,6 +25,18 @@ class TestGeneration:
         with pytest.raises(ArgumentError):
             generate_dataset(SceneSpec(), 0)
 
+    @pytest.mark.parametrize("size", [(0, 8), (-8, 8), (8, 4), (12, 16), (64, 60)])
+    def test_size_must_be_positive_multiple_of_8(self, size):
+        with pytest.raises(ArgumentError, match="multiples of 8"):
+            SceneSpec(image_size=size)
+
+    def test_every_multiple_of_8_up_to_64_generates(self):
+        for side in range(8, 72, 8):
+            for layout in LayoutMode:
+                for sample in generate_dataset(
+                        SceneSpec(image_size=(side, side), layout_mode=layout, seed=side), 20):
+                    assert sample.label.shape == (side, side)
+
     def test_zero_noise_sky_is_exact_palette(self):
         palette = ((0.2, 0.4, 0.6), (0.8, 0.7, 0.1))
         spec = SceneSpec(num_classes=2, palette=palette, texture_noise_sigma=0.0, seed=5)

@@ -3,7 +3,7 @@ import pytest
 
 from osseg import autograd as ag
 from osseg.errors import ArgumentError
-from osseg.segmodel import AttentionPairing, ModelConfig, init_params, predict
+from osseg.segmodel import ModelConfig, init_params, predict
 from osseg.synthdata import (
     IGNORE,
     TARGET_PALETTE,
@@ -16,6 +16,7 @@ from osseg.synthdata import (
 )
 from osseg.trainer import (
     AdamW,
+    AttentionPairing,
     TrainConfig,
     TrainData,
     ema_update,
