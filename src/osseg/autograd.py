@@ -179,6 +179,29 @@ def reshape(a, shape):
     return _node(data, (a,), bw)
 
 
+def concat_rows(parts):
+    """Stack 2-D tensors with equal column counts along rows (exact copy).
+
+    Each part's gradient is its row slice of the output's. A single part is
+    returned as is.
+    """
+    parts = [_as_tensor(p) for p in parts]
+    if not parts or any(p.data.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+        raise DimensionError(
+            f"concat_rows: incompatible shapes {[tuple(p.shape) for p in parts]}"
+        )
+    if len(parts) == 1:
+        return parts[0]
+    data = np.concatenate([p.data for p in parts], axis=0)
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def bw(g):
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            _accumulate(p, g[lo:hi])
+
+    return _node(data, parts, bw)
+
+
 def relu(a):
     a = _as_tensor(a)
     mask = a.data > 0

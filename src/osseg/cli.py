@@ -147,10 +147,15 @@ def cmd_train(args):
 
 def cmd_eval(args):
     started = time.time()
+    try:
+        subset = [int(c) for c in args.subset.split(",")] if args.subset else []
+    except ValueError as exc:
+        raise ArgumentError(
+            f"--subset must list class ids separated by commas, got {args.subset!r}"
+        ) from exc
     params = load_checkpoint(args.ckpt)
     n = params.config.num_classes
     data = read_dataset(args.data_root, num_classes=n, domain_tag=DomainTag.TARGET)
-    subset = [int(c) for c in args.subset.split(",")] if args.subset else []
     total = evalmetrics.ConfusionMatrix(n)
     for sample in data:
         evalmetrics.accumulate(total, predict(params, sample.image), sample.label)

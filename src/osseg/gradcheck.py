@@ -91,49 +91,70 @@ def _op_checks(rng):
         ("ops.upsample2x", lambda: check_op(ag.bilinear_upsample2x, [(2, 3, 4)], rng)),
         ("ops.cross_entropy", lambda: check_op(
             lambda x: cross_entropy_pixelwise(x, label), [(3, 4, 4)], rng)),
+        ("ops.concat_rows", lambda: check_op(
+            lambda a, b, c: ag.concat_rows([a, b, c]), [(2, 3), (1, 3), (3, 3)], rng)),
     ])
     return OrderedDict((name, fn()) for name, fn in checks.items())
 
 
 def _step_losses(seed):
-    """`step_loss` of one 8x8 source, pseudo-target and acceptor sample.
+    """`step_loss` on 8x8 source, pseudo-target and acceptor samples.
 
-    `step.ours` runs OURS_PT_TO_INTERMEDIATE with IDR and `step.variant_st`
-    VARIANT_ST without, so together they cover l_pt, l_idr, l_src and l_cd
-    with both slot assignments. With lambda_cd = 1 the cross pass weighs
-    as much as the other terms, and a fresh step stream per evaluation
-    draws the same crop and classes every time.
+    `step.ours` runs OURS_PT_TO_INTERMEDIATE with IDR on a batch of two
+    distinct samples, so the batched decoder's block-diagonal masks are
+    differentiated; `step.variant_st` runs VARIANT_ST without IDR on the
+    first sample alone, the batch-of-one path. Together they cover l_pt,
+    l_idr, l_src and l_cd with both slot assignments. With lambda_cd = 1
+    the cross pass weighs as much as the other terms, and a fresh step
+    stream per evaluation draws the same crops and classes every time.
     """
     rng = derive_rng(seed, "gradcheck")
     student = init_params(CHECK_MODEL, seed=seed).trainable(True)
     teacher = student.copy()
-    src = DomainSample(rng.random((8, 8, 3)), rng.integers(0, 3, (8, 8)).astype(np.uint8))
-    pt = DomainSample(fda_stylize(src.image, rng.random((8, 8, 3)), FdaConfig(beta=0.25)),
-                      src.label, DomainTag.PSEUDO_TARGET)
-    acceptor = DomainSample(rng.random((8, 8, 3)), rng.integers(0, 3, (8, 8)).astype(np.uint8))
 
-    def loss_fn(**kw):
-        cfg = TrainConfig(batch=1, crop=8, lambda_cd=1.0, **kw)
-        return lambda: step_loss(student, teacher, [src], [pt], [acceptor],
+    def samples():
+        src = DomainSample(rng.random((8, 8, 3)), rng.integers(0, 3, (8, 8)).astype(np.uint8))
+        pt = DomainSample(fda_stylize(src.image, rng.random((8, 8, 3)), FdaConfig(beta=0.25)),
+                          src.label, DomainTag.PSEUDO_TARGET)
+        acceptor = DomainSample(rng.random((8, 8, 3)),
+                                rng.integers(0, 3, (8, 8)).astype(np.uint8))
+        return src, pt, acceptor
+
+    first, second = samples(), samples()
+
+    def loss_fn(batch, **kw):
+        cfg = TrainConfig(batch=len(batch), crop=8, lambda_cd=1.0, **kw)
+        srcs, pts, acceptors = zip(*batch)
+        return lambda: step_loss(student, teacher, srcs, pts, acceptors,
                                  derive_rng(seed, "gradcheck-step"), cfg)[0]
 
     losses = OrderedDict([
-        ("step.ours", loss_fn(pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)),
-        ("step.variant_st", loss_fn(pairing=AttentionPairing.VARIANT_ST, use_idr=False)),
+        ("step.ours", loss_fn([first, second],
+                              pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)),
+        ("step.variant_st", loss_fn([first], pairing=AttentionPairing.VARIANT_ST,
+                                    use_idr=False)),
     ])
     return student, losses
 
 
 def _check_loss(student, loss_fn, step=1e-5):
-    """Max rel error over every parameter tensor for one loss."""
+    """Max rel error over every parameter tensor for one loss.
+
+    The finite differences run with the student's tracking off, so their
+    evaluations build no backward graph.
+    """
     student.zero_grad()
     ag.backward(loss_fn())
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for name, t in student.tensors.items()}
     worst = 0.0
-    for name, t in student.tensors.items():
-        fd = fd_gradient(lambda: loss_fn().item(), t.data, step)
-        worst = max(worst, rel_error(analytic[name], fd))
+    student.trainable(False)
+    try:
+        for name, t in student.tensors.items():
+            fd = fd_gradient(lambda: loss_fn().item(), t.data, step)
+            worst = max(worst, rel_error(analytic[name], fd))
+    finally:
+        student.trainable(True)
     return worst
 
 

@@ -14,6 +14,13 @@ second (conditioning) branch and an additive N x N class bias that removes
 every row and column indexed by a sampled class; with no class sampled it
 is plain cross-domain attention. Fully masked rows produce zero attention
 output, so the residual connection carries those tokens through unchanged.
+
+A forward pass takes a batch of equal-size images. The backbone and pixel
+decoder run per image; the transformer decoder runs once, over the B
+images' class tokens stacked as rows. A block-diagonal MASKED_SENTINEL
+bias keeps each image's attention to its own keys, so up to float
+summation order every image's logits are those of a pass over it alone.
+A batch of one adds no mask and no row selection.
 """
 
 import io
@@ -54,13 +61,17 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """Intermediate states of one forward pass."""
+    """Intermediate states of one forward pass over a batch of B images.
 
-    f_img: Tensor  # backbone features: (C_3, H/8, W/8)
-    e_pixel: Tensor  # pixel embeddings at half resolution: (C_e, H/2, W/2)
-    layer_queries: list  # query of each layer's token-attention step: (N, C_e)
-    e_class: Tensor  # final tokens, one row per class: (N, C_e)
-    logits: Tensor  # e_class @ e_pixel upsampled 2x: (N, H, W)
+    Per-image lists hold one entry per image; the decoder's token states
+    are stacked, sample b in rows [b*N, (b+1)*N).
+    """
+
+    f_img: list  # per image, backbone features: (C_3, H/8, W/8)
+    e_pixel: list  # per image, pixel embeddings at half resolution: (C_e, H/2, W/2)
+    layer_queries: list  # per layer, the query of its token-attention step: (B*N, C_e)
+    e_class: Tensor  # final tokens, one row per class and image: (B*N, C_e)
+    logits: list  # per image, its class rows @ its e_pixel upsampled 2x: (N, H, W)
 
 
 class ModelParams:
@@ -212,31 +223,48 @@ def _backbone_and_pixels(params, arr):
     return f_img, e_pixel
 
 
-def _image_memory(params, f_img, layer):
-    c3 = f_img.shape[0]
-    flat = ag.transpose(ag.reshape(f_img, (c3, f_img.shape[1] * f_img.shape[2])))
-    p = f"dec.{layer}."
-    k = ag.matmul(flat, params[p + "ca.wk"])
-    v = ag.matmul(flat, params[p + "ca.wv"])
-    return k, v
+def _batch_bias(blocks, rows, cols):
+    """Additive attention bias of a batch, one diagonal block per sample.
+
+    `blocks[b]` is sample b's (rows, cols) bias Tensor, or None for none.
+    Every entry off the diagonal blocks is MASKED_SENTINEL, so each
+    sample's queries attend only to its own keys. A batch of one needs no
+    mask: its block is returned as is.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    m = np.full((len(blocks) * rows, len(blocks) * cols), ag.MASKED_SENTINEL)
+    for b, block in enumerate(blocks):
+        m[b * rows:(b + 1) * rows, b * cols:(b + 1) * cols] = 0.0 if block is None else block.data
+    return Tensor(m)
 
 
-def _decoder(params, f_img, token_attn):
-    """Run the transformer decoder.
+def _decoder(params, f_imgs, token_attn):
+    """Run the transformer decoder once over a batch of backbone features.
+
+    The B samples' class tokens are stacked as rows, (B*N, C_e), and their
+    image memories, flattened to (H/8 * W/8, C_3) each, likewise. Row-wise
+    ops need no change; the image cross-attention gets a block-diagonal
+    mask so that each sample reads only its own memory.
 
     `token_attn(layer, tokens)` implements sublayer (b): it receives the
-    token state entering the attention step and returns (query,
+    stacked token state entering the attention step and returns (query,
     contribution): the query its attention used (None if it used none) and
     the pre-residual attention contribution. Returns (layer_queries, e_class).
     """
     cfg = params.config
-    tokens = params["query_embed"]
+    batch = len(f_imgs)
+    c3, rows, cols = f_imgs[0].shape
+    memory = ag.concat_rows([ag.transpose(ag.reshape(f, (c3, rows * cols))) for f in f_imgs])
+    img_bias = _batch_bias([None] * batch, cfg.num_classes, rows * cols)
+    tokens = ag.concat_rows([params["query_embed"]] * batch)
     layer_queries = []
     for layer in range(cfg.decoder_layers):
         p = f"dec.{layer}."
-        k_img, v_img = _image_memory(params, f_img, layer)
+        k_img = ag.matmul(memory, params[p + "ca.wk"])
+        v_img = ag.matmul(memory, params[p + "ca.wv"])
         q = ag.matmul(tokens, params[p + "ca.wq"])
-        attn_a = _multihead(q, k_img, v_img, cfg.heads, cfg.scaled_attention)
+        attn_a = _multihead(q, k_img, v_img, cfg.heads, cfg.scaled_attention, img_bias)
         tokens = ag.layernorm_lastdim(
             ag.add(tokens, ag.matmul(attn_a, params[p + "ca.wo"])),
             params[p + "ln1.g"], params[p + "ln1.b"],
@@ -254,20 +282,30 @@ def _decoder(params, f_img, token_attn):
     return layer_queries, tokens
 
 
-def _logits(e_class, e_pixel):
-    ce, h, w = e_pixel.shape
-    out = ag.matmul(e_class, ag.reshape(e_pixel, (ce, h * w)))
-    return ag.bilinear_upsample2x(ag.reshape(out, (e_class.shape[0], h, w)))
+def _trace(params, f_imgs, e_pixels, layer_queries, e_class):
+    """ForwardTrace with each sample's logits: its class rows times its pixels."""
+    n, batch = params.config.num_classes, len(f_imgs)
+    rows = [e_class]
+    if batch > 1:
+        eye = np.eye(batch * n)
+        rows = [ag.matmul(Tensor(eye[b * n:(b + 1) * n]), e_class) for b in range(batch)]
+    logits = []
+    for e_rows, e_pixel in zip(rows, e_pixels):
+        ce, h, w = e_pixel.shape
+        out = ag.matmul(e_rows, ag.reshape(e_pixel, (ce, h * w)))
+        logits.append(ag.bilinear_upsample2x(ag.reshape(out, (n, h, w))))
+    return ForwardTrace(f_imgs, e_pixels, layer_queries, e_class, logits)
 
 
-def _token_attention(params, cond_queries=None, bias=None):
-    """Sublayer (b) of `_decoder`: attention among the class tokens.
+def _token_attention(params, batch, cond_queries=None, biases=None):
+    """Sublayer (b) of `_decoder`: attention among each sample's class tokens.
 
     Queries are the tokens' own projection, or, in the cross-domain pass,
-    the conditioning branch's query of the same layer; `bias` is the
-    optional additive class bias.
+    the conditioning branch's query of the same layer; `biases` holds the
+    optional additive class bias of each sample.
     """
     cfg = params.config
+    bias = _batch_bias(biases or [None] * batch, cfg.num_classes, cfg.num_classes)
 
     def token_attn(layer, tokens):
         p = f"dec.{layer}."
@@ -282,57 +320,76 @@ def _token_attention(params, cond_queries=None, bias=None):
     return token_attn
 
 
-def forward(params, img):
-    """Standard forward pass: self-attention among the class tokens."""
-    arr = _check_image(img)
-    f_img, e_pixel = _backbone_and_pixels(params, arr)
-    layer_queries, e_class = _decoder(params, f_img, _token_attention(params))
-    return ForwardTrace(f_img, e_pixel, layer_queries, e_class, _logits(e_class, e_pixel))
+def _forward(params, imgs, token_attn):
+    arrs = [_check_image(img) for img in imgs]
+    if not arrs or any(arr.shape != arrs[0].shape for arr in arrs):
+        raise DimensionError(
+            f"a forward pass takes one or more equal-size images, got {[a.shape for a in arrs]}"
+        )
+    trunk = [_backbone_and_pixels(params, arr) for arr in arrs]
+    f_imgs = [f for f, _ in trunk]
+    e_pixels = [e for _, e in trunk]
+    layer_queries, e_class = _decoder(params, f_imgs, token_attn)
+    return _trace(params, f_imgs, e_pixels, layer_queries, e_class)
 
 
-def forward_identity_token_attention(params, img):
+def forward(params, imgs):
+    """Standard forward pass over a list of equal-size images.
+
+    The trunk runs per image, the decoder once over the batch, with
+    self-attention among each image's class tokens.
+    """
+    return _forward(params, imgs, _token_attention(params, len(imgs)))
+
+
+def forward_identity_token_attention(params, imgs):
     """Reference path: the token-attention sublayer contributes zero.
 
     Tokens pass through sublayer (b) via the residual connection alone;
     everything else matches `forward`. Used to verify the fully-masked
     class-aware attention behavior.
     """
-    arr = _check_image(img)
-    f_img, e_pixel = _backbone_and_pixels(params, arr)
-
     def token_attn(layer, tokens):
         return None, Tensor(np.zeros(tokens.shape))
 
-    layer_queries, e_class = _decoder(params, f_img, token_attn)
-    return ForwardTrace(f_img, e_pixel, layer_queries, e_class, _logits(e_class, e_pixel))
+    return _forward(params, imgs, token_attn)
 
 
-def forward_cross(params, main, cond, bias):
-    """Cross-domain decoder pass over two existing forward traces.
+def forward_cross(params, main, cond, biases):
+    """Cross-domain decoder pass over two existing batched forward traces.
 
     `main` is the trace of the main branch: its image features supply the
     keys and values of the image cross-attention, and its pixel embeddings
-    the logits. `cond` is the `forward` trace of the conditioning branch:
-    the query each of its layers' token self-attention computed is that
-    layer's query here, so queries use the same learned projection as the
-    self-attention path. Each decoder layer's token self-attention is
-    replaced by class-aware cross-domain attention: those queries, keys and
-    values from the main branch's tokens, and the N x N class `bias`.
+    the logits. `cond` is the `forward` trace of the conditioning branch,
+    over as many images: the query each of its layers' token
+    self-attention computed is that layer's query here, so queries use the
+    same learned projection as the self-attention path. Each decoder
+    layer's token self-attention is replaced by class-aware cross-domain
+    attention: those queries, keys and values from the main branch's
+    tokens, and `biases[b]`, the N x N class bias of sample b.
 
-    Only the decoder runs here: the backbone and pixel decoder of both
-    branches are those already recorded in the traces, which other loss
-    terms may share.
+    Only the decoder runs here, once for the batch: the backbone and pixel
+    decoder of both branches are those already recorded in the traces,
+    which other loss terms may share.
     """
-    token_attn = _token_attention(params, cond.layer_queries, bias)
+    n, batch = params.config.num_classes, len(main.f_img)
+    if len(cond.f_img) != batch or len(biases) != batch:
+        raise DimensionError(
+            f"forward_cross: {batch} main, {len(cond.f_img)} conditioning samples "
+            f"and {len(biases)} class biases"
+        )
+    for bias in biases:
+        if bias.shape != (n, n):
+            raise DimensionError(f"class bias shape {tuple(bias.shape)} is not ({n}, {n})")
+    token_attn = _token_attention(params, batch, cond.layer_queries, biases)
     layer_queries, e_class = _decoder(params, main.f_img, token_attn)
-    return ForwardTrace(main.f_img, main.e_pixel, layer_queries, e_class,
-                        _logits(e_class, main.e_pixel))
+    return _trace(params, main.f_img, main.e_pixel, layer_queries, e_class)
 
 
 def predict(params, img):
     """Per-pixel argmax class map (ties break to the lowest class id)."""
-    trace = forward(params, img)
-    return trace.logits.data.argmax(axis=0).astype(np.uint8)
+    trace = forward(params, [img])
+    return trace.logits[0].data.argmax(axis=0).astype(np.uint8)
 
 
 # --- checkpoint I/O ---------------------------------------------------------

@@ -6,9 +6,10 @@ optionally on a cross-domain pass whose token queries come from a
 conditioning branch. The teacher is an exponential moving average of the
 student and is the model used for pseudo-labels and inference.
 
-A step runs the student's forward pass at most once per image: every loss
-term reads the trace of its image, and the cross-domain pass runs only its
-decoder over two of those traces (see `segmodel.forward_cross`).
+A step runs the student's forward pass at most once per batch of crops of
+one role (pseudo-target, mixed, source): every loss term reads the trace of
+its image, and the cross-domain pass runs only its decoder, once for the
+batch, over two of those traces (see `segmodel.forward_cross`).
 """
 
 import math
@@ -88,17 +89,22 @@ _CONFIG_PARSERS = {
 
 
 def parse_config_file(path):
-    """UTF-8 `key = value` lines with exactly the TrainConfig field names."""
+    """UTF-8 `key = value` lines, each naming a TrainConfig field at most once."""
     fields = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for ln, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ArgumentError(f"{path}:{ln}: not UTF-8 ({exc.reason})") from exc
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if not sep or key not in _CONFIG_PARSERS:
                 raise ArgumentError(f"{path}:{ln}: unknown config line {line!r}")
+            if key in fields:
+                raise ArgumentError(f"{path}:{ln}: {key} is set twice")
             try:
                 fields[key] = _CONFIG_PARSERS[key](value)
             except (ValueError, KeyError) as exc:
@@ -151,19 +157,23 @@ def ema_update(teacher, student, alpha):
         t.data += (1.0 - alpha) * student.tensors[name].data
 
 
-def pseudo_label(teacher, img, threshold=0.0):
-    """Teacher argmax per pixel; low-confidence pixels become IGNORE.
+def pseudo_label(teacher, imgs, threshold=0.0):
+    """Teacher argmax per pixel of each image; low-confidence pixels become IGNORE.
 
-    Ties break to the lowest class id. No gradients flow: the teacher's
-    tensors are constants, so the forward pass records no graph.
+    One teacher pass labels the whole list. Ties break to the lowest class
+    id. No gradients flow: the teacher's tensors are constants, so the
+    forward pass records no graph.
     """
-    logits = forward(teacher, img).logits.data
-    pred = logits.argmax(axis=0).astype(np.uint8)
-    if threshold > 0.0:
-        shifted = np.exp(logits - logits.max(axis=0, keepdims=True))
-        maxp = shifted.max(axis=0) / shifted.sum(axis=0)
-        pred[maxp < threshold] = IGNORE
-    return pred
+    preds = []
+    for logits in forward(teacher, imgs).logits:
+        logits = logits.data
+        pred = logits.argmax(axis=0).astype(np.uint8)
+        if threshold > 0.0:
+            shifted = np.exp(logits - logits.max(axis=0, keepdims=True))
+            maxp = shifted.max(axis=0) / shifted.sum(axis=0)
+            pred[maxp < threshold] = IGNORE
+        preds.append(pred)
+    return preds
 
 
 def _crop(arr, top, left, size):
@@ -190,6 +200,10 @@ def _check_finite(value, term, step):
         raise TrainingError(f"step {step}: loss term {term} is non-finite ({value})")
 
 
+def _terms(trace, labels):
+    return [cross_entropy_pixelwise(logits, y) for logits, y in zip(trace.logits, labels)]
+
+
 def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
     """The loss graph of one step over an aligned batch: (total, LossReport).
 
@@ -198,68 +212,64 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
     drawn source sample j. `total` is `l_pt + l_idr + lambda_cd * l_cd`,
     plus `l_src` for VARIANT_ST.
 
-    Per sample, the student traces the pseudo-target crop, the mixed crop
-    (when IDR or the pairing needs it) and the source crop (variants only)
-    once each; the cross pass and the loss terms share those traces.
+    Every sample's crops and sampled classes are drawn first, in sample
+    order. Then the student traces the batch of pseudo-target crops, of
+    mixed crops (when IDR or the pairing needs them) and of source crops
+    (variants only) once each, the teacher labels the acceptor crops in
+    one pass, and one cross pass runs over two of those traces; the loss
+    terms share them.
     """
     n = student.config.num_classes
     size = cfg.crop
     need_mix = cfg.use_idr or cfg.pairing in (
         AttentionPairing.OURS_PT_TO_INTERMEDIATE, AttentionPairing.VARIANT_S,
     )
-    pt_terms, idr_terms, cd_terms, src_terms = [], [], [], []
+    pt_imgs, labels, src_imgs, acc_imgs, acc_gts, sampled = [], [], [], [], [], []
     for src_i, pt_i, src_j in zip(batch_src, batch_pt, batch_acceptor):
         h, w = src_i.label.shape
         dt, dl = _crop_positions(rng, h, w, size)
         at, al = _crop_positions(rng, h, w, size)
-        pt_img = _crop(pt_i.image, dt, dl, size)
-        y_i = _crop(pt_i.label, dt, dl, size)
-        src_i_img = _crop(src_i.image, dt, dl, size)
-        acc_img = _crop(src_j.image, at, al, size)
-        acc_gt = _crop(src_j.label, at, al, size)
-
-        pt_trace = forward(student, pt_img)
-        pt_terms.append(cross_entropy_pixelwise(pt_trace.logits, y_i))
-
-        sampled = None
+        pt_imgs.append(_crop(pt_i.image, dt, dl, size))
+        labels.append(_crop(pt_i.label, dt, dl, size))
+        src_imgs.append(_crop(src_i.image, dt, dl, size))
+        acc_imgs.append(_crop(src_j.image, at, al, size))
+        acc_gts.append(_crop(src_j.label, at, al, size))
         if need_mix or cfg.pairing is not AttentionPairing.NONE:
-            sampled = mixer.sample_classes(y_i, rng)
-        mixed = mixed_trace = None
-        if need_mix:
-            acc_pl = pseudo_label(teacher, acc_img, cfg.pseudo_label_threshold)
+            sampled.append(mixer.sample_classes(labels[-1], rng))
+
+    pt_trace = forward(student, pt_imgs)
+    l_pt = _batch_mean(_terms(pt_trace, labels))
+    if need_mix:
+        mixed = []
+        mix = mixer.mix_with_ground_truth if cfg.use_ground_truth_mix else mixer.mix
+        acc_pls = pseudo_label(teacher, acc_imgs, cfg.pseudo_label_threshold)
+        for pt_img, y_i, acc_img, acc_gt, acc_pl, classes in zip(
+                pt_imgs, labels, acc_imgs, acc_gts, acc_pls, sampled):
             pair = mixer.MixPair(
                 donor=DomainSample(pt_img, y_i, DomainTag.PSEUDO_TARGET),
                 acceptor=DomainSample(acc_img, acc_gt, DomainTag.SOURCE, pseudo_label=acc_pl),
             )
-            mask = mixer.build_mask(y_i, sampled)
-            if cfg.use_ground_truth_mix:
-                mixed = mixer.mix_with_ground_truth(pair, mask)
-            else:
-                mixed = mixer.mix(pair, mask)
-            mixed_trace = forward(student, mixed.image)
-        if cfg.use_idr:
-            idr_terms.append(cross_entropy_pixelwise(mixed_trace.logits, mixed.label))
+            mixed.append(mix(pair, mixer.build_mask(y_i, classes)))
+        mixed_labels = [m.label for m in mixed]
+        mixed_trace = forward(student, [m.image for m in mixed])
+    l_idr = _batch_mean(_terms(mixed_trace, mixed_labels)) if cfg.use_idr else Tensor(np.zeros(()))
 
-        if cfg.pairing is not AttentionPairing.NONE:
-            bias = build_class_bias(n, sampled)
-            if cfg.pairing is AttentionPairing.OURS_PT_TO_INTERMEDIATE:
-                main, cond, cd_label = mixed_trace, pt_trace, mixed.label
-            elif cfg.pairing is AttentionPairing.VARIANT_S:
-                main, cond, cd_label = mixed_trace, forward(student, src_i_img), mixed.label
-            else:  # VARIANT_ST: source conditions the pseudo-target branch
-                cond = forward(student, src_i_img)
-                src_terms.append(cross_entropy_pixelwise(cond.logits, y_i))
-                main, cd_label = pt_trace, y_i
-            trace = forward_cross(student, main, cond, bias)
-            cd_terms.append(cross_entropy_pixelwise(trace.logits, cd_label))
-
-    l_pt = _batch_mean(pt_terms)
-    l_idr = _batch_mean(idr_terms) if cfg.use_idr else Tensor(np.zeros(()))
-    l_cd = _batch_mean(cd_terms) if cd_terms else Tensor(np.zeros(()))
-    total = ag.add(ag.add(l_pt, l_idr), ag.scale(l_cd, cfg.lambda_cd))
+    l_cd = Tensor(np.zeros(()))
     l_src = None
-    if cfg.pairing is AttentionPairing.VARIANT_ST:
-        l_src = _batch_mean(src_terms)
+    if cfg.pairing is not AttentionPairing.NONE:
+        biases = [build_class_bias(n, classes) for classes in sampled]
+        if cfg.pairing is AttentionPairing.OURS_PT_TO_INTERMEDIATE:
+            main, cond, cd_labels = mixed_trace, pt_trace, mixed_labels
+        elif cfg.pairing is AttentionPairing.VARIANT_S:
+            main, cond, cd_labels = mixed_trace, forward(student, src_imgs), mixed_labels
+        else:  # VARIANT_ST: source conditions the pseudo-target branch
+            cond = forward(student, src_imgs)
+            l_src = _batch_mean(_terms(cond, labels))
+            main, cd_labels = pt_trace, labels
+        l_cd = _batch_mean(_terms(forward_cross(student, main, cond, biases), cd_labels))
+
+    total = ag.add(ag.add(l_pt, l_idr), ag.scale(l_cd, cfg.lambda_cd))
+    if l_src is not None:
         total = ag.add(total, l_src)
 
     report = LossReport(

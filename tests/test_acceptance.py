@@ -130,9 +130,9 @@ def test_criterion_4_cacda_masking():
     params = init_params(model, seed=3)
     img_m = rng.random((8, 8, 3))
     img_pt = rng.random((8, 8, 3))
-    cross = forward_cross(params, forward(params, img_m), forward(params, img_pt),
-                          build_class_bias(n, set(range(n)))).logits.data
-    reference = forward_identity_token_attention(params, img_m).logits.data
+    cross = forward_cross(params, forward(params, [img_m]), forward(params, [img_pt]),
+                          [build_class_bias(n, set(range(n)))]).logits[0].data
+    reference = forward_identity_token_attention(params, [img_m]).logits[0].data
     residual_err = np.abs(cross - reference).max()
     ok = masking_ok and reduces and residual_err < 1e-9
     _report(4, ok, f"all 32 subsets, identity-residual err {residual_err:.1e}")

@@ -178,6 +178,20 @@ class TestTrain:
         assert "Traceback" not in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("content,message", [
+        (b"iterations = 1\nseed = \xff\n", "cfg.txt:2: not UTF-8"),
+        (b"iterations = 1\ncrop = 16\niterations = 2\n", "cfg.txt:3: iterations is set twice"),
+    ])
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, content, message):
+        # The config is read before the data root, which does not exist here.
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_bytes(content)
+        assert run("train", "--config", str(cfgfile), "--data-root", str(tmp_path / "none"),
+                   "--out", str(tmp_path / "c.osseg"), "--log", str(tmp_path / "l.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_all_ignore_labels_is_data_error(self, tmp_path, capsys):
         # Every crop of an all-ignore label map has no class to sample:
         # a fault in the data (exit 1), not in the command line (exit 2).
@@ -206,6 +220,17 @@ class TestEval:
         assert len(lines) == 7
         assert lines[5].startswith("miou,")
         assert lines[6].startswith("miou_subset,")
+
+
+    @pytest.mark.parametrize("subset", ["a", "0,,1", "1.5"])
+    def test_non_integer_subset_is_usage_error(self, tmp_path, capsys, subset):
+        # The list is parsed before the checkpoint loads: a missing
+        # checkpoint would exit 1.
+        assert run("eval", "--ckpt", str(tmp_path / "missing.osseg"), "--data-root",
+                   str(tmp_path), "--subset", subset, "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --subset") and err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestInfer:
@@ -287,14 +312,18 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_corrupted_cross_pass_fails_both_step_groups(self, monkeypatch, capsys):
-        # Only the cross-domain pass's logit gradient is wrong: the op groups
-        # pass, and each step group must catch it through `step_loss`.
+        # Only the cross-domain pass's logit gradients are wrong, for every
+        # sample of the batch: the op groups pass, and each step group must
+        # catch it through `step_loss`.
         real_cross = segmodel.forward_cross
 
-        def broken_cross(params, main, cond, bias):
-            trace = real_cross(params, main, cond, bias)
-            orig = trace.logits._backward_fn
-            trace.logits._backward_fn = lambda g: orig(g * 1.5)
+        def scaled(orig):
+            return lambda g: orig(g * 1.5)
+
+        def broken_cross(params, main, cond, biases):
+            trace = real_cross(params, main, cond, biases)
+            for logits in trace.logits:
+                logits._backward_fn = scaled(logits._backward_fn)
             return trace
 
         monkeypatch.setattr(segmodel, "forward_cross", broken_cross)

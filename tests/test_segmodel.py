@@ -175,9 +175,9 @@ class TestClassAwareAttention:
 class TestForward:
     def test_logits_shape(self):
         params = tiny_params()
-        trace = forward(params, rand_img(np.random.default_rng(9), 16))
-        assert trace.logits.shape == (3, 16, 16)
-        assert trace.e_pixel.shape == (8, 8, 8)
+        trace = forward(params, [rand_img(np.random.default_rng(9), 16)])
+        assert trace.logits[0].shape == (3, 16, 16)
+        assert trace.e_pixel[0].shape == (8, 8, 8)
         assert trace.e_class.shape == (3, 8)
         assert len(trace.layer_queries) == 2
 
@@ -185,48 +185,48 @@ class TestForward:
         params = tiny_params()
         for t in params.tensors.values():
             t.data[:] = 0.0
-        trace = forward(params, rand_img(np.random.default_rng(10)))
-        assert not trace.logits.data.any()
+        trace = forward(params, [rand_img(np.random.default_rng(10))])
+        assert not trace.logits[0].data.any()
 
     def test_logits_equal_product_of_embeddings(self):
         params = tiny_params()
-        trace = forward(params, rand_img(np.random.default_rng(11)))
-        manual = (trace.e_class.data @ trace.e_pixel.data.reshape(8, -1)).reshape(3, 4, 4)
-        assert np.array_equal(trace.logits.data, ag.bilinear_upsample2x(Tensor(manual)).data)
+        trace = forward(params, [rand_img(np.random.default_rng(11))])
+        manual = (trace.e_class.data @ trace.e_pixel[0].data.reshape(8, -1)).reshape(3, 4, 4)
+        assert np.array_equal(trace.logits[0].data, ag.bilinear_upsample2x(Tensor(manual)).data)
 
     def test_size_not_divisible_by_8(self):
         with pytest.raises(ConfigurationError):
-            forward(tiny_params(), np.zeros((12, 12, 3)))
+            forward(tiny_params(), [np.zeros((12, 12, 3))])
 
     def test_forward_is_pure(self):
         params = tiny_params()
         img = rand_img(np.random.default_rng(12))
-        a = forward(params, img).logits.data
-        b = forward(params, img).logits.data
+        a = forward(params, [img]).logits[0].data
+        b = forward(params, [img]).logits[0].data
         assert np.array_equal(a, b)
 
     def test_permutation_consistency(self):
         params = tiny_params(seed=5)
         img = rand_img(np.random.default_rng(13))
-        base = forward(params, img).logits.data
+        base = forward(params, [img]).logits[0].data
         perm = np.array([2, 0, 1])
         permuted = params.copy()
         permuted.tensors["query_embed"].data = params["query_embed"].data[perm]
-        out = forward(permuted, img).logits.data
+        out = forward(permuted, [img]).logits[0].data
         assert np.allclose(out, base[perm], atol=1e-12)
 
     def test_multihead_runs(self):
         cfg = ModelConfig(num_classes=3, embed_dim=8, decoder_layers=1, heads=2,
                           backbone_channels=(2, 4, 8))
-        trace = forward(init_params(cfg, seed=1), rand_img(np.random.default_rng(14)))
-        assert trace.logits.shape == (3, 8, 8)
+        trace = forward(init_params(cfg, seed=1), [rand_img(np.random.default_rng(14))])
+        assert trace.logits[0].shape == (3, 8, 8)
 
     def test_gradient_of_ce_loss(self):
         params = tiny_params(seed=2)
         img = rand_img(np.random.default_rng(15))
         label = np.random.default_rng(16).integers(0, 3, (8, 8)).astype(np.uint8)
         assert_grads_match_fd(
-            params, lambda: cross_entropy_pixelwise(forward(params, img).logits, label),
+            params, lambda: cross_entropy_pixelwise(forward(params, [img]).logits[0], label),
             ["backbone.0.w", "pixdec.1.w", "query_embed", "dec.0.sa.wq",
              "dec.1.ffn.w1", "dec.0.ln1.g", "dec.1.ca.wv"],
         )
@@ -284,8 +284,9 @@ class TestMultihead:
         bias = build_class_bias(3, {2})
 
         def loss_of():
-            trace = forward_cross(params, forward(params, img_m), forward(params, img_pt), bias)
-            return cross_entropy_pixelwise(trace.logits, label)
+            trace = forward_cross(params, forward(params, [img_m]), forward(params, [img_pt]),
+                                  [bias])
+            return cross_entropy_pixelwise(trace.logits[0], label)
 
         assert_grads_match_fd(params, loss_of,
                               ["dec.0.sa.wq", "dec.1.sa.wv", "dec.0.ca.wk", "dec.1.sa.wo"])
@@ -295,9 +296,9 @@ class TestForwardCross:
     def test_identical_images_empty_set_equals_forward(self):
         params = tiny_params(seed=3)
         img = rand_img(np.random.default_rng(18))
-        trace = forward(params, img)
-        plain = trace.logits.data
-        cross = forward_cross(params, trace, trace, build_class_bias(3, set())).logits.data
+        trace = forward(params, [img])
+        plain = trace.logits[0].data
+        cross = forward_cross(params, trace, trace, [build_class_bias(3, set())]).logits[0].data
         assert np.abs(cross - plain).max() < 1e-9
 
     def test_fully_masked_bias_matches_identity_sublayer_path(self):
@@ -306,9 +307,10 @@ class TestForwardCross:
         img_m = rand_img(rng)
         img_pt = rand_img(rng)
         cross = forward_cross(
-            params, forward(params, img_m), forward(params, img_pt), build_class_bias(3, {0, 1, 2}),
-        ).logits.data
-        reference = forward_identity_token_attention(params, img_m).logits.data
+            params, forward(params, [img_m]), forward(params, [img_pt]),
+            [build_class_bias(3, {0, 1, 2})],
+        ).logits[0].data
+        reference = forward_identity_token_attention(params, [img_m]).logits[0].data
         assert np.abs(cross - reference).max() < 1e-9
 
     def test_distinct_branches_differ_from_plain_forward(self):
@@ -317,9 +319,9 @@ class TestForwardCross:
         img_m = rand_img(rng)
         img_pt = rand_img(rng)
         cross = forward_cross(
-            params, forward(params, img_m), forward(params, img_pt), build_class_bias(3, set()),
-        ).logits.data
-        plain = forward(params, img_m).logits.data
+            params, forward(params, [img_m]), forward(params, [img_pt]), [build_class_bias(3, set())],
+        ).logits[0].data
+        plain = forward(params, [img_m]).logits[0].data
         assert np.abs(cross - plain).max() > 1e-9
 
     def test_gradient_of_cross_loss(self):
@@ -331,17 +333,87 @@ class TestForwardCross:
         bias = build_class_bias(3, {1})
 
         def loss_of():
-            trace = forward_cross(params, forward(params, img_m), forward(params, img_pt), bias)
-            return cross_entropy_pixelwise(trace.logits, label)
+            trace = forward_cross(params, forward(params, [img_m]), forward(params, [img_pt]),
+                                  [bias])
+            return cross_entropy_pixelwise(trace.logits[0], label)
 
         assert_grads_match_fd(params, loss_of,
                               ["dec.0.sa.wq", "dec.1.sa.wk", "backbone.1.w", "query_embed"])
 
     def test_wrong_bias_shape(self):
         params = tiny_params()
-        trace = forward(params, rand_img(np.random.default_rng(17)))
+        trace = forward(params, [rand_img(np.random.default_rng(17))])
         with pytest.raises(DimensionError):
-            forward_cross(params, trace, trace, build_class_bias(4, set()))
+            forward_cross(params, trace, trace, [build_class_bias(4, set())])
+
+
+class TestBatchedDecoder:
+    """One decoder pass over a batch equals one pass per image."""
+
+    CLASS_SETS = [set(), {1}, {0, 1, 2}]  # no mask, partial, every token masked
+
+    @staticmethod
+    def _passes(params, mains, conds, sampled, labels):
+        """Logits of forward (both branches) and forward_cross, and their summed loss."""
+        main, cond = forward(params, mains), forward(params, conds)
+        cross = forward_cross(params, main, cond, [build_class_bias(3, s) for s in sampled])
+        logits = main.logits + cond.logits + cross.logits
+        total = None
+        for out, label in zip(logits, labels * 3):
+            term = cross_entropy_pixelwise(out, label)
+            total = term if total is None else ag.add(total, term)
+        return logits, total
+
+    @pytest.mark.parametrize("shift", range(3))
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_batch_equals_per_image_passes(self, batch, heads, shift):
+        cfg = ModelConfig(num_classes=3, embed_dim=8, decoder_layers=2, heads=heads,
+                          backbone_channels=(2, 4, 8))
+        params = init_params(cfg, seed=batch + 2 * heads).trainable(True)
+        rng = np.random.default_rng(30 + shift)
+        mains = [rand_img(rng) for _ in range(batch)]
+        conds = [rand_img(rng) for _ in range(batch)]
+        labels = [rng.integers(0, 3, (8, 8)).astype(np.uint8) for _ in range(batch)]
+        sampled = [self.CLASS_SETS[(b + shift) % 3] for b in range(batch)]
+
+        params.zero_grad()
+        logits, total = self._passes(params, mains, conds, sampled, labels)
+        ag.backward(total)
+        grads = {name: params[name].grad.copy() for name in params.names()}
+
+        single_logits = [[] for _ in range(3)]
+        summed = {name: np.zeros_like(g) for name, g in grads.items()}
+        for b in range(batch):
+            params.zero_grad()
+            out, loss = self._passes(params, [mains[b]], [conds[b]], [sampled[b]], [labels[b]])
+            ag.backward(loss)
+            for role in range(3):
+                single_logits[role].append(out[role])
+            for name in summed:
+                summed[name] += params[name].grad
+        for got, want in zip(logits, sum(single_logits, [])):
+            assert np.abs(got.data - want.data).max() <= 1e-12
+        # Relative to the largest gradient entry: some tensors, such as the
+        # last layer-norm bias, lie in a flat direction of the loss (a shift
+        # common to every class logit) and carry only rounding noise.
+        scale = max(np.abs(want).max() for want in summed.values())
+        for name, want in summed.items():
+            assert np.abs(grads[name] - want).max() <= 1e-10 * scale, name
+
+    def test_mismatched_batches_rejected(self):
+        params = tiny_params()
+        rng = np.random.default_rng(33)
+        two = forward(params, [rand_img(rng), rand_img(rng)])
+        one = forward(params, [rand_img(rng)])
+        with pytest.raises(DimensionError):
+            forward_cross(params, two, one, [build_class_bias(3, set())] * 2)
+        with pytest.raises(DimensionError):
+            forward_cross(params, two, two, [build_class_bias(3, set())])
+        with pytest.raises(DimensionError):
+            forward(params, [rand_img(rng, 8), rand_img(rng, 16)])
+        with pytest.raises(DimensionError):
+            forward(params, [])
 
 
 class TestPredict:

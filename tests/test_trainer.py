@@ -108,8 +108,8 @@ class TestPseudoLabel:
         # instead run on real params and just check argmax agreement below.
         img = np.random.default_rng(0).random((16, 16, 3))
         from osseg.segmodel import forward
-        logits = forward(params, img).logits.data
-        pred = pseudo_label(params, img)
+        logits = forward(params, [img]).logits[0].data
+        pred = pseudo_label(params, [img])[0]
         assert np.array_equal(pred, logits.argmax(axis=0))
 
     def test_forced_dominant_logits(self):
@@ -128,22 +128,22 @@ class TestPseudoLabel:
         fq[2, 0] = 10.0
         img = np.random.default_rng(1).random((16, 16, 3))
         from osseg.segmodel import forward
-        logits = forward(params, img).logits.data
+        logits = forward(params, [img]).logits[0].data
         assert (logits[2] > np.delete(logits, 2, axis=0).max(axis=0)).all()
-        assert (pseudo_label(params, img) == 2).all()
+        assert (pseudo_label(params, [img])[0] == 2).all()
 
     def test_threshold_one_gives_all_ignore(self):
         params = init_params(TINY_MODEL, seed=2)
         img = np.random.default_rng(2).random((16, 16, 3))
-        pred = pseudo_label(params, img, threshold=1.0)
+        pred = pseudo_label(params, [img], threshold=1.0)[0]
         assert (pred == IGNORE).all()
 
     def test_matches_brute_force_argmax_with_tie_break(self):
         params = init_params(TINY_MODEL, seed=3)
         img = np.random.default_rng(3).random((16, 16, 3))
         from osseg.segmodel import forward
-        logits = forward(params, img).logits.data
-        pred = pseudo_label(params, img)
+        logits = forward(params, [img]).logits[0].data
+        pred = pseudo_label(params, [img])[0]
         for i in range(16):
             for j in range(16):
                 best, arg = -np.inf, None
@@ -363,13 +363,15 @@ class TestConfigFile:
 
 
 class TestSharedTraces:
-    """Each image's student trace is built once per step and read by every loss."""
+    """Each batch's student trace is built once per step and read by every loss;
+    the decoder runs once per batch, the trunk once per image."""
 
     @staticmethod
     def _count_calls(monkeypatch, cfg):
         from osseg import autograd, segmodel, trainer
 
-        calls = {"forward": 0, "conv2d": 0, "matmul": 0, "bilinear_upsample2x": 0, "nodes": 0}
+        calls = {"forward": 0, "decoder": 0, "conv2d": 0, "matmul": 0, "bilinear_upsample2x": 0,
+                 "nodes": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -396,6 +398,7 @@ class TestSharedTraces:
         forward = counting("forward", segmodel.forward)
         monkeypatch.setattr(segmodel, "forward", forward)
         monkeypatch.setattr(trainer, "forward", forward)
+        monkeypatch.setattr(segmodel, "_decoder", counting("decoder", segmodel._decoder))
         for op in ("conv2d", "matmul", "bilinear_upsample2x"):
             monkeypatch.setattr(autograd, op, counting(op, getattr(autograd, op)))
         monkeypatch.setattr(autograd, "backward", counting_backward)
@@ -405,21 +408,25 @@ class TestSharedTraces:
         return calls
 
     def test_full_step_builds_each_trace_once(self, monkeypatch):
-        # Per sample: pseudo-target, teacher pseudo-label, mixed.
+        # One forward per batch: pseudo-target, teacher pseudo-label, mixed;
+        # one decoder pass for each and one for the cross pass.
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
         assert self._count_calls(monkeypatch, cfg) == {
-            "forward": 6, "conv2d": 30, "matmul": 228, "bilinear_upsample2x": 20, "nodes": 455,
+            "forward": 3, "decoder": 4, "conv2d": 30, "matmul": 126, "bilinear_upsample2x": 20,
+            "nodes": 303,
         }
 
     def test_variant_st_step_reuses_source_and_pt_traces(self, monkeypatch):
         # Per sample: pseudo-target, teacher pseudo-label, mixed, source.
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.VARIANT_ST, use_idr=True)
-        assert self._count_calls(monkeypatch, cfg)["conv2d"] == 40
+        calls = self._count_calls(monkeypatch, cfg)
+        assert (calls["conv2d"], calls["forward"], calls["decoder"]) == (40, 4, 5)
 
     def test_supervised_step_counts(self, monkeypatch):
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.NONE, use_idr=False)
         assert self._count_calls(monkeypatch, cfg) == {
-            "forward": 2, "conv2d": 10, "matmul": 58, "bilinear_upsample2x": 6, "nodes": 164,
+            "forward": 1, "decoder": 1, "conv2d": 10, "matmul": 32, "bilinear_upsample2x": 6,
+            "nodes": 114,
         }
 
     @pytest.mark.parametrize("pairing", sorted(PINNED_LOSSES))
