@@ -12,8 +12,8 @@ produce outputs with no recorded rule, so inference-only passes build no
 graph at all.
 
 Correctness, not throughput, is the contract; convolution uses cached im2col
-gather indices and upsampling fixed 2-tap slices, so that desk-scale training
-stays fast enough.
+gather indices and upsampling cached 2-tap interpolation matrices, so that
+desk-scale training stays fast enough.
 """
 
 import functools
@@ -349,47 +349,33 @@ def conv2d(x, w, stride=1, pad=0):
     return _node(out, (x, w), bw)
 
 
-def _up1d(arr, axis):
-    """Double one axis with 2-tap bilinear weights (half-pixel alignment).
+@functools.lru_cache(maxsize=32)
+def _upsample_matrix(n):
+    """(2n, n) matrix of 2-tap bilinear doubling (half-pixel alignment).
 
-    Along the axis: out[2i] = 0.25*a[i-1] + 0.75*a[i] (clamped at i=0) and
-    out[2i+1] = 0.75*a[i] + 0.25*a[i+1] (clamped at i=n-1).
+    Row 2i is 0.25*a[i-1] + 0.75*a[i] and row 2i+1 is 0.75*a[i] +
+    0.25*a[i+1]; a tap past either end falls back on the edge value.
     """
-    a = np.swapaxes(arr, 0, axis)
-    n = a.shape[0]
-    out = np.empty((2 * n,) + a.shape[1:])
-    even, odd = out[0::2], out[1::2]
-    even[0] = a[0]
-    even[1:] = 0.25 * a[:-1] + 0.75 * a[1:]
-    odd[-1] = a[-1]
-    odd[:-1] = 0.75 * a[:-1] + 0.25 * a[1:]
-    return np.swapaxes(out, 0, axis)
-
-
-def _up1d_transpose(grad, axis):
-    """Adjoint of _up1d along the same axis."""
-    g = np.swapaxes(grad, 0, axis)
-    ge, go = g[0::2], g[1::2]
-    n = ge.shape[0]
-    out = np.zeros((n,) + g.shape[1:])
-    out[0] += ge[0]
-    out[1:] += 0.75 * ge[1:]
-    out[:-1] += 0.25 * ge[1:]
-    out[-1] += go[-1]
-    out[:-1] += 0.75 * go[:-1]
-    out[1:] += 0.25 * go[:-1]
-    return np.swapaxes(out, 0, axis)
+    u = np.zeros((2 * n, n))
+    i = np.arange(n)
+    u[2 * i, np.maximum(i - 1, 0)] += 0.25
+    u[2 * i, i] += 0.75
+    u[2 * i + 1, i] += 0.75
+    u[2 * i + 1, np.minimum(i + 1, n - 1)] += 0.25
+    u.flags.writeable = False
+    return u
 
 
 def bilinear_upsample2x(x):
-    """Bilinear 2x upsampling of a (C, H, W) tensor."""
+    """Bilinear 2x upsampling of a (C, H, W) tensor: U_H @ x_c @ U_W^T per channel."""
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise DimensionError(f"bilinear_upsample2x expects (C,H,W), got {tuple(x.shape)}")
-    out = _up1d(_up1d(x.data, 1), 2)
+    u_h, u_w = _upsample_matrix(x.shape[1]), _upsample_matrix(x.shape[2])
+    out = u_h @ x.data @ u_w.T
 
     def bw(g):
-        _accumulate(x, _up1d_transpose(_up1d_transpose(g, 2), 1))
+        _accumulate(x, u_h.T @ g @ u_w)
 
     return _node(out, (x,), bw)
 

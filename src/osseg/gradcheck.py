@@ -145,8 +145,7 @@ def _check_loss(student, loss_fn, step=1e-5):
     """
     student.zero_grad()
     ag.backward(loss_fn())
-    analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for name, t in student.tensors.items()}
+    analytic = {name: t.grad.copy() for name, t in student.tensors.items()}
     worst = 0.0
     student.trainable(False)
     try:

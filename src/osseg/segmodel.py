@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ArgumentError, ConfigurationError, DimensionError, FormatError
+from .errors import ArgumentError, ConfigurationError, DimensionError, FormatError, NumericError
 from .rng import derive_rng
 
 CHECKPOINT_MAGIC = b"OSSEG1"
@@ -75,11 +75,31 @@ class ForwardTrace:
 
 
 class ModelParams:
-    """Named parameter tensors of one network instance."""
+    """Named parameter tensors of one network instance, packed in one vector.
 
-    def __init__(self, config, tensors):
+    `flat` holds every tensor's values back to back, in `_param_shapes`
+    order, and each tensor's `data` is a reshaped view into it. Once the
+    parameters are made trainable, `grad` holds their gradients in the same
+    layout and each tensor's `grad` is a view into it, so backward
+    accumulates into the vector in place. Whole-model arithmetic (the
+    optimizer, the EMA teacher, a copy) is then a few vector operations.
+    """
+
+    def __init__(self, config, flat, requires_grad=False):
         self.config = config
-        self.tensors = dict(tensors)
+        self.flat = flat
+        self.grad = None
+        shapes = _param_shapes(config)
+        views = _views(flat, shapes.values())
+        self.tensors = {name: Tensor(view) for name, view in zip(shapes, views)}
+        self.trainable(requires_grad)
+
+    @classmethod
+    def pack(cls, config, arrays, requires_grad=False):
+        """Parameters holding `arrays[name]` for every tensor of the config's network."""
+        flat = np.concatenate([np.asarray(arrays[name], dtype=np.float64).reshape(-1)
+                               for name in _param_shapes(config)])
+        return cls(config, flat, requires_grad)
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -88,17 +108,33 @@ class ModelParams:
         return list(self.tensors.keys())
 
     def trainable(self, flag=True):
+        """Switch gradient tracking; the gradient vector, once made, stays."""
+        if flag and self.grad is None:
+            self.grad = np.zeros_like(self.flat)
+            views = _views(self.grad, _param_shapes(self.config).values())
+            for t, view in zip(self.tensors.values(), views):
+                t.grad = view
         for t in self.tensors.values():
             t.requires_grad = flag
         return self
 
     def zero_grad(self):
-        for t in self.tensors.values():
-            t.grad = None
+        if self.grad is not None:
+            self.grad.fill(0.0)
 
     def copy(self):
-        cloned = {k: Tensor(t.data.copy()) for k, t in self.tensors.items()}
-        return ModelParams(self.config, cloned)
+        """Independent, untracked parameters with the same values."""
+        return ModelParams(self.config, self.flat.copy())
+
+
+def _views(flat, shapes):
+    """Consecutive pieces of the vector `flat`, reshaped to `shapes` (no copies)."""
+    views, off = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[off:off + size].reshape(shape))
+        off += size
+    return views
 
 
 def _param_shapes(cfg):
@@ -132,7 +168,7 @@ def _param_shapes(cfg):
 def init_params(config, seed=0):
     """Glorot-style random init; layer-norm gains start at 1, biases at 0."""
     rng = derive_rng(seed, "init")
-    tensors = {}
+    arrays = {}
     for name, shape in _param_shapes(config).items():
         if name.endswith(".g"):
             data = np.ones(shape)
@@ -145,8 +181,8 @@ def init_params(config, seed=0):
             fan_out = shape[0] if len(shape) == 4 else shape[-1]
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             data = rng.uniform(-limit, limit, shape)
-        tensors[name] = Tensor(data, requires_grad=True)
-    return ModelParams(config, tensors)
+        arrays[name] = data
+    return ModelParams.pack(config, arrays, requires_grad=True)
 
 
 def attention(q, k, v, scaled=False, bias=None):
@@ -387,9 +423,17 @@ def forward_cross(params, main, cond, biases):
 
 
 def predict(params, img):
-    """Per-pixel argmax class map (ties break to the lowest class id)."""
-    trace = forward(params, [img])
-    return trace.logits[0].data.argmax(axis=0).astype(np.uint8)
+    """Per-pixel argmax class map (ties break to the lowest class id).
+
+    Finite parameters can still overflow on some input. That is checked
+    once, on the logits, rather than warned about per op: NumericError if
+    any logit is non-finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward(params, [img]).logits[0].data
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logits: the parameters overflow on this image")
+    return logits.argmax(axis=0).astype(np.uint8)
 
 
 # --- checkpoint I/O ---------------------------------------------------------
@@ -468,14 +512,14 @@ def load_checkpoint(path):
         cfg = _parse_config_block(take(cfg_len))
         expected = _param_shapes(cfg)
         (count,) = struct.unpack("<I", take(4))
-        tensors = {}
+        arrays = {}
         for _ in range(count):
             start = off
             (name_len,) = struct.unpack("<H", take(2))
             name = take(name_len).decode("utf-8")
             (rank,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-            if name in tensors:
+            if name in arrays:
                 raise FormatError(f"duplicate checkpoint tensor {name!r}", offset=start)
             if expected.get(name) != shape:
                 raise FormatError(
@@ -486,12 +530,12 @@ def load_checkpoint(path):
             data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
             if not np.isfinite(data).all():
                 raise FormatError(f"non-finite value in checkpoint tensor {name!r}", offset=start)
-            tensors[name] = Tensor(data.copy())
+            arrays[name] = data
     except (struct.error, ValueError, KeyError, UnicodeDecodeError) as exc:
         raise FormatError(f"malformed checkpoint: {exc}", offset=off) from exc
-    missing = [name for name in expected if name not in tensors]
+    missing = [name for name in expected if name not in arrays]
     if missing:
         raise FormatError(f"checkpoint lacks tensor {missing[0]!r}", offset=off)
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after the last tensor", offset=off)
-    return ModelParams(cfg, tensors)
+    return ModelParams.pack(cfg, arrays)

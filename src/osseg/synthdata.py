@@ -190,7 +190,14 @@ def generate_dataset(spec, count):
 
 # --- raster I/O --------------------------------------------------------------
 
-def _read_pnm_header(blob, magic, path):
+def _read_pnm(path, magic, channels):
+    """Pixels of a binary PNM file (maxval 255) as an (H, W, channels) uint8 array.
+
+    Strict about the container: a zero width or height, a short payload
+    and any byte after the payload each raise FormatError.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
     if blob[:2] != magic:
         raise FormatError(f"{path}: expected magic {magic.decode()}", offset=0)
     fields = []
@@ -215,7 +222,14 @@ def _read_pnm_header(blob, magic, path):
     width, height, maxval = fields
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}", offset=2)
-    return width, height, off
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: empty {width}x{height} raster", offset=2)
+    end = off + width * height * channels
+    if len(blob) < end:
+        raise FormatError(f"{path}: truncated pixel payload", offset=len(blob))
+    if len(blob) > end:
+        raise FormatError(f"{path}: {len(blob) - end} trailing bytes after the pixels", offset=end)
+    return np.frombuffer(blob, dtype=np.uint8, offset=off).reshape(height, width, channels)
 
 
 def write_image(path, img):
@@ -229,15 +243,7 @@ def write_image(path, img):
 
 
 def read_image(path):
-    with open(path, "rb") as f:
-        blob = f.read()
-    w, h, off = _read_pnm_header(blob, b"P6", path)
-    expected = w * h * 3
-    payload = blob[off:off + expected]
-    if len(payload) < expected:
-        raise FormatError(f"{path}: truncated pixel payload", offset=off + len(payload))
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return data.astype(np.float64) / 255.0
+    return _read_pnm(path, b"P6", 3).astype(np.float64) / 255.0
 
 
 def write_label(path, lbl):
@@ -250,14 +256,7 @@ def write_label(path, lbl):
 
 
 def read_label(path, num_classes=None):
-    with open(path, "rb") as f:
-        blob = f.read()
-    w, h, off = _read_pnm_header(blob, b"P5", path)
-    expected = w * h
-    payload = blob[off:off + expected]
-    if len(payload) < expected:
-        raise FormatError(f"{path}: truncated label payload", offset=off + len(payload))
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+    data = _read_pnm(path, b"P5", 1)[:, :, 0].copy()
     if num_classes is not None:
         bad = (data >= num_classes) & (data != IGNORE)
         if bad.any():
@@ -286,20 +285,33 @@ def write_dataset(root, split, samples):
 
 
 def read_dataset(root, num_classes=None, domain_tag=DomainTag.SOURCE):
-    """Load every img/lbl pair listed in <root>/manifest.txt."""
+    """Load every img/lbl pair listed in <root>/manifest.txt.
+
+    Each non-blank manifest line is `<image path>\t<label path>`, relative
+    to `root`. A line without the tab, or a pair whose sizes differ, raises
+    FormatError naming manifest.txt and the line.
+    """
     manifest = os.path.join(root, "manifest.txt")
     if not os.path.exists(manifest):
         raise ArgumentError(f"no manifest.txt under {root}")
     samples = []
-    with open(manifest, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
+    with open(manifest, "rb") as f:
+        for ln, raw in enumerate(f, start=1):
+            where = f"{manifest}:{ln}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8 ({exc.reason})") from exc
             if not line:
                 continue
-            img_rel, _, lbl_rel = line.partition("\t")
-            samples.append(DomainSample(
-                image=read_image(os.path.join(root, img_rel)),
-                label=read_label(os.path.join(root, lbl_rel), num_classes),
-                domain_tag=domain_tag,
-            ))
+            img_rel, tab, lbl_rel = line.partition("\t")
+            if not tab:
+                raise FormatError(f"{where}: expected <image>TAB<label>, got {line!r}")
+            image = read_image(os.path.join(root, img_rel))
+            label = read_label(os.path.join(root, lbl_rel), num_classes)
+            if image.shape[:2] != label.shape:
+                raise FormatError(
+                    f"{where}: image {image.shape[:2]} and label {label.shape} sizes differ"
+                )
+            samples.append(DomainSample(image=image, label=label, domain_tag=domain_tag))
     return samples

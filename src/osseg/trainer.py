@@ -28,6 +28,9 @@ from .synthdata import IGNORE, DomainSample, DomainTag
 
 _BOOL_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
+# The batched decoder's block-diagonal attention matrices grow as batch**2.
+MAX_BATCH = 64
+
 
 class AttentionPairing(Enum):
     """Which traces fill the two slots of `segmodel.forward_cross`.
@@ -70,8 +73,8 @@ class TrainConfig:
             raise ArgumentError("ema_alpha must be in [0, 1)")
         if not 0.0 <= self.pseudo_label_threshold <= 1.0:
             raise ArgumentError("pseudo_label_threshold must be in [0, 1]")
-        if self.batch < 1:
-            raise ArgumentError(f"batch must be >= 1, got {self.batch}")
+        if not 1 <= self.batch <= MAX_BATCH:
+            raise ArgumentError(f"batch must be in [1, {MAX_BATCH}], got {self.batch}")
         if self.iterations < 0:
             raise ArgumentError(f"iterations must be >= 0, got {self.iterations}")
         if self.crop < 8 or self.crop % 8:
@@ -122,7 +125,14 @@ class LossReport:
 
 
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay."""
+    """Adaptive-moment optimizer with decoupled weight decay.
+
+    Works on the flat value and gradient vectors of trainable parameters
+    (see `segmodel.ModelParams`): one pass of in-place whole-vector
+    operations per step, through two preallocated scratch vectors. Each
+    elementwise product and sum is taken in the order the comments give,
+    so the result is bit-identical to that formula applied per tensor.
+    """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
         self.params = params
@@ -131,30 +141,36 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self._a = np.empty_like(params.flat)
+        self._b = np.empty_like(params.flat)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.tensors.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= self.lr * (update + self.weight_decay * p.data)
+        p, g, m, v, a, b = (self.params.flat, self.params.grad, self.m, self.v,
+                            self._a, self._b)
+        # m = beta1*m + (1-beta1)*g and v = beta2*v + ((1-beta2)*g)*g
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        # update = (m/bc1) / (sqrt(v/bc2) + eps); p -= lr*(update + wd*p)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += self.eps
+        np.divide(m, bc1, out=b)
+        b /= a
+        b += np.multiply(p, self.weight_decay, out=a)
+        p -= np.multiply(b, self.lr, out=b)
 
 
 def ema_update(teacher, student, alpha):
-    """theta' <- alpha * theta' + (1 - alpha) * theta, elementwise."""
-    for name, t in teacher.tensors.items():
-        t.data *= alpha
-        t.data += (1.0 - alpha) * student.tensors[name].data
+    """theta' <- alpha * theta' + (1 - alpha) * theta, over the flat vectors."""
+    teacher.flat *= alpha
+    teacher.flat += (1.0 - alpha) * student.flat
 
 
 def pseudo_label(teacher, imgs, threshold=0.0):

@@ -160,6 +160,46 @@ class TestBilinearUpsample:
     def test_gradient(self):
         check_op_gradient(ag.bilinear_upsample2x, [(2, 3, 4)], seed=17, tol=1e-5)
 
+    @staticmethod
+    def _two_tap(x):
+        """The 2-tap formula entry by entry, taps clamped at the edges."""
+        c, h, w = x.shape
+
+        def taps(i, n):
+            # Output index i sits at input coordinate i/2 - 0.25, between
+            # inputs (i-1)//2 and (i-1)//2 + 1.
+            lo = (i - 1) // 2
+            a, b = min(max(lo, 0), n - 1), min(max(lo + 1, 0), n - 1)
+            return (a, 0.75, b, 0.25) if i % 2 else (a, 0.25, b, 0.75)
+
+        out = np.empty((c, 2 * h, 2 * w))
+        for i in range(2 * h):
+            ra, wa, rb, wb = taps(i, h)
+            for j in range(2 * w):
+                ca, va, cb, vb = taps(j, w)
+                rows = [(ra, wa), (rb, wb)]
+                out[:, i, j] = sum(
+                    wr * (va * x[:, r, ca] + vb * x[:, r, cb]) for r, wr in rows
+                )
+        return out
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 5, 7), (2, 4, 6), (1, 1, 4)])
+    def test_matches_two_tap_formula(self, shape):
+        x = np.random.default_rng(sum(shape)).random(shape)
+        out = ag.bilinear_upsample2x(Tensor(x)).data
+        assert np.abs(out - self._two_tap(x)).max() <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 5, 7), (2, 4, 6)])
+    def test_adjoint_identity(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[1])
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = ag.bilinear_upsample2x(x)
+        g = rng.standard_normal(out.shape)
+        n = out.size
+        ag.backward(ag.matmul(ag.reshape(out, (1, n)), Tensor(g.reshape(n, 1))))
+        # <Ux, g> = <x, U^T g>
+        assert abs((out.data * g).sum() - (x.data * x.grad).sum()) <= 1e-12
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):

@@ -164,7 +164,8 @@ class TestTrain:
                    "--log", str(tmp_path / "l.csv")) == 2
 
     @pytest.mark.parametrize("line", [
-        "batch = -1", "batch = 0", "crop = 0", "crop = -8", "crop = 12", "iterations = -1",
+        "batch = -1", "batch = 0", "batch = 65", "batch = 99999999999999999999",
+        "crop = 0", "crop = -8", "crop = 12", "iterations = -1",
         "lr = -1", "lr = 0", "lr = nan", "lambda_cd = nan", "lambda_cd = inf",
     ])
     def test_impossible_config_is_usage_error(self, pipeline, tmp_path, capsys, line):
@@ -232,8 +233,41 @@ class TestEval:
         assert err.startswith("error: --subset") and err.count("\n") == 1
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("defect", ["no_tab", "size_mismatch"])
+    def test_malformed_dataset_is_data_error(self, pipeline, tmp_path, capsys, defect):
+        data = tmp_path / "targets"
+        synthdata.write_dataset(data, "target", synthdata.generate_dataset(SceneSpec(seed=8), 2))
+        manifest = data / "manifest.txt"
+        if defect == "no_tab":
+            manifest.write_text(manifest.read_text().replace("\t", " ", 1))
+        else:
+            synthdata.write_label(data / "target" / "lbl_1.pgm", np.zeros((8, 8), np.uint8))
+        assert run("eval", "--ckpt", str(pipeline / "ckpt.osseg"), "--data-root", str(data),
+                   "--out", str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("manifest.txt:1:" if defect == "no_tab" else "manifest.txt:2:") in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestInfer:
+    def test_non_finite_logits_are_numeric_error(self, pipeline, tmp_path, capsys):
+        # Finite parameters whose logits overflow to inf and nan.
+        params = init_params(ModelConfig(), seed=0)
+        params["dec.1.ln3.b"].data[:] = 1e300
+        params["pixdec.1.b"].data[:] = 1e300
+        ckpt = tmp_path / "huge.osseg"
+        save_checkpoint(ckpt, params)
+        img = pipeline / "data" / "targets" / "target" / "img_0.ppm"
+        assert run("infer", "--ckpt", str(ckpt), "--image", str(img),
+                   "--out", str(tmp_path / "p.pgm")) == 1
+        assert run("eval", "--ckpt", str(ckpt), "--data-root", str(pipeline / "data" / "targets"),
+                   "--out", str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: non-finite logits: the parameters overflow on this image"] * 2
+        assert not (tmp_path / "p.pgm").exists() and not (tmp_path / "r.csv").exists()
+
+
     def test_output_matches_input_dimensions_and_is_deterministic(self, pipeline, tmp_path):
         img = pipeline / "data" / "targets" / "target" / "img_0.ppm"
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -5,7 +5,13 @@ import pytest
 
 from osseg import autograd as ag
 from osseg.autograd import Tensor, cross_entropy_pixelwise
-from osseg.errors import ArgumentError, ConfigurationError, DimensionError, FormatError
+from osseg.errors import (
+    ArgumentError,
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    NumericError,
+)
 from osseg.gradcheck import fd_gradient, rel_error
 from osseg.segmodel import (
     ModelConfig,
@@ -417,6 +423,13 @@ class TestBatchedDecoder:
 
 
 class TestPredict:
+    def test_non_finite_logits_raise(self):
+        params = tiny_params()
+        params["dec.1.ln3.b"].data[:] = 1e300
+        params["pixdec.1.b"].data[:] = 1e300
+        with pytest.raises(NumericError, match="non-finite logits"):
+            predict(params, rand_img(np.random.default_rng(24)))
+
     def test_tie_break_to_lowest_class(self):
         params = tiny_params()
         for t in params.tensors.values():

@@ -189,6 +189,44 @@ class TestRasterIO:
             read_image(path)
         assert exc.value.offset is not None and exc.value.offset >= 11
 
+    @pytest.mark.parametrize("reader,blob", [
+        (read_image, b"P6\n1 1\n255\n\x01\x02\x03" + b"tail"),
+        (read_label, b"P5\n2 1\n255\n\x00\x01" + b"\n"),
+    ])
+    def test_trailing_bytes_rejected(self, tmp_path, reader, blob):
+        path = tmp_path / "r.pnm"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="trailing bytes") as exc:
+            reader(path)
+        assert exc.value.offset == len(blob.rstrip(b"tail\n"))
+
+    @pytest.mark.parametrize("reader,magic", [(read_image, b"P6"), (read_label, b"P5")])
+    @pytest.mark.parametrize("size", [b"0 0", b"0 3", b"3 0"])
+    def test_empty_raster_rejected(self, tmp_path, reader, magic, size):
+        path = tmp_path / "e.pnm"
+        path.write_bytes(magic + b"\n" + size + b"\n255\n")
+        with pytest.raises(FormatError, match="empty"):
+            reader(path)
+
+    @pytest.mark.parametrize("defect,message", [
+        ("no_tab", "manifest.txt:2: expected <image>TAB<label>"),
+        ("not_utf8", "manifest.txt:2: not UTF-8"),
+    ])
+    def test_malformed_manifest_line_rejected(self, tmp_path, defect, message):
+        write_dataset(tmp_path, "source", generate_dataset(SceneSpec(seed=2), 2))
+        manifest = tmp_path / "manifest.txt"
+        first, second = manifest.read_bytes().splitlines()
+        second = second.replace(b"\t", b" ") if defect == "no_tab" else second + b"\xff"
+        manifest.write_bytes(first + b"\n" + second + b"\n")
+        with pytest.raises(FormatError, match=message):
+            read_dataset(tmp_path)
+
+    def test_manifest_pair_size_mismatch_rejected(self, tmp_path):
+        write_dataset(tmp_path, "source", generate_dataset(SceneSpec(seed=2), 1))
+        write_label(tmp_path / "source" / "lbl_0.pgm", np.zeros((8, 8), dtype=np.uint8))
+        with pytest.raises(FormatError, match="manifest.txt:1: image .* sizes differ"):
+            read_dataset(tmp_path)
+
     def test_dataset_manifest_round_trip(self, tmp_path):
         samples = generate_dataset(SceneSpec(seed=2), 3)
         write_dataset(tmp_path, "source", samples)

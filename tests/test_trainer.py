@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from osseg import autograd as ag
+from osseg import trainer
 from osseg.errors import ArgumentError
 from osseg.segmodel import ModelConfig, init_params, predict
 from osseg.synthdata import (
@@ -207,6 +208,73 @@ class TestEma:
             assert t.grad is None and not t.requires_grad
 
 
+class _PerTensorAdamW:
+    """Reference AdamW: the same arithmetic, tensor by tensor."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+        self.params, self.lr, self.eps, self.weight_decay = params, lr, eps, weight_decay
+        self.beta1, self.beta2 = betas
+        self.t = 0
+        self.m = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
+        self.v = {k: np.zeros_like(t.data) for k, t in params.tensors.items()}
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.tensors.items():
+            m, v, g = self.m[name], self.v[name], p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (update + self.weight_decay * p.data)
+
+
+def _per_tensor_ema(teacher, student, alpha):
+    for name, t in teacher.tensors.items():
+        t.data *= alpha
+        t.data += (1.0 - alpha) * student[name].data
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("pairing", ["none", "ours_pt_to_intermediate"])
+    def test_flat_update_equals_per_tensor_reference(self, monkeypatch, pairing):
+        cfg = quick_cfg(iterations=20, batch=2, pairing=pairing)
+        data = small_data()
+        flat_teacher, flat_log = train(cfg, data, model_config=TINY_MODEL)
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "AdamW", _PerTensorAdamW)
+            patch.setattr(trainer, "ema_update", _per_tensor_ema)
+            ref_teacher, ref_log = train(cfg, data, model_config=TINY_MODEL)
+        assert flat_log == ref_log
+        assert flat_teacher.flat.tobytes() == ref_teacher.flat.tobytes()
+
+    def test_tensors_are_views_of_the_flat_vectors(self):
+        params = init_params(TINY_MODEL, seed=0).trainable(True)
+        assert params.flat.shape == params.grad.shape == (
+            sum(params[name].size for name in params.names()),)
+        for name in params.names():
+            t = params[name]
+            assert np.shares_memory(t.data, params.flat), name
+            assert np.shares_memory(t.grad, params.grad), name
+        params.zero_grad()
+        params["query_embed"].grad[...] = 2.0
+        params["query_embed"].data[...] = 3.0
+        assert params.grad.sum() == 2.0 * params["query_embed"].size
+        assert (params.flat == 3.0).sum() == params["query_embed"].size
+
+    def test_copy_shares_nothing(self):
+        params = init_params(TINY_MODEL, seed=0).trainable(True)
+        clone = params.copy()
+        assert clone.grad is None and not np.shares_memory(clone.flat, params.flat)
+        for name in params.names():
+            assert not np.shares_memory(clone[name].data, params[name].data), name
+            assert np.array_equal(clone[name].data, params[name].data), name
+            assert clone[name].grad is None and not clone[name].requires_grad
+
+
 class TestAdamW:
     def test_moves_against_gradient(self):
         cfg = ModelConfig(num_classes=2, embed_dim=8, decoder_layers=1,
@@ -215,7 +283,8 @@ class TestAdamW:
         opt = AdamW(params, lr=0.1)
         t = params.tensors["query_embed"]
         before = t.data.copy()
-        t.grad = np.ones_like(t.data)
+        params.zero_grad()
+        t.grad[...] = 1.0
         opt.step()
         assert (t.data < before).all()
 
