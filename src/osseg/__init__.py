@@ -8,7 +8,6 @@ from .mixer import MixPair, build_mask, mix, mix_with_ground_truth, sample_class
 from .segmodel import (  # noqa: F401
     ModelConfig,
     ModelParams,
-    attention,
     build_class_bias,
     forward,
     forward_cross,

@@ -213,6 +213,28 @@ def relu(a):
     return _node(data, (a,), bw)
 
 
+def _masked_softmax(x):
+    """Softmax over the last axis of the array `x` (the rules of `softmax_lastdim`)."""
+    if np.isnan(x).any():
+        raise NumericError("softmax input contains NaN")
+    masked = x <= MASK_THRESHOLD
+    if not masked.any():  # the same values as below, in fewer passes
+        e = np.exp(np.clip(x - x.max(axis=-1, keepdims=True), -745.0, 50.0))
+        return e / e.sum(axis=-1, keepdims=True)
+    row_alive = ~masked.all(axis=-1, keepdims=True)
+    live_vals = np.where(masked, -np.inf, x)
+    row_max = np.where(row_alive, live_vals.max(axis=-1, initial=-np.inf, keepdims=True), 0.0)
+    e = np.exp(np.clip(x - row_max, -745.0, 50.0))
+    e[masked] = 0.0
+    denom = e.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    return e / denom
+
+
+def _softmax_backward(y, g):
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(x):
     """Numerically stable softmax over the last dimension.
 
@@ -222,25 +244,79 @@ def softmax_lastdim(x):
     passes the corresponding token through unchanged.
     """
     x = _as_tensor(x)
-    if np.isnan(x.data).any():
-        raise NumericError("softmax input contains NaN")
-    flat = x.data.reshape(-1, x.shape[-1])
-    masked = flat <= MASK_THRESHOLD
-    row_alive = ~masked.all(axis=1)
-    live_vals = np.where(masked, -np.inf, flat)
-    row_max = np.where(row_alive, live_vals.max(axis=1, initial=-np.inf), 0.0)
-    e = np.exp(np.clip(flat - row_max[:, None], -745.0, 50.0))
-    e[masked] = 0.0
-    denom = e.sum(axis=1)
-    denom[denom == 0.0] = 1.0
-    out = (e / denom[:, None]).reshape(x.shape)
+    out = _masked_softmax(x.data)
 
     def bw(g):
-        y = out
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        _accumulate(x, _softmax_backward(out, g))
 
     return _node(out, (x,), bw)
+
+
+def block_attention(q, k, v, keys, key_rows, bias=None, scale=None):
+    """Attention of query blocks on key/value blocks, as one op.
+
+    q holds len(keys) blocks of N rows each; k and v hold blocks of
+    `key_rows` rows. Query block b attends only to key/value block
+    j = keys[b]: its output rows are softmax(scale * Q_b K_j^T + bias[b]) V_j.
+    `bias` is an optional constant (blocks, N, key_rows) additive bias and
+    `scale` an optional factor on the logits. The softmax follows
+    `softmax_lastdim`: entries at or below MASK_THRESHOLD get zero weight,
+    a fully masked row outputs zero and a NaN raises NumericError.
+
+    All blocks go through stacked 3-D matmuls, so the cost is linear in the
+    number of blocks. A key block read by several query blocks sums their
+    gradients.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    keys = np.asarray(keys, dtype=np.intp).reshape(-1)
+    blocks = keys.size
+    fits = (q.data.ndim == k.data.ndim == v.data.ndim == 2 and blocks > 0
+            and q.shape[0] % blocks == 0 and k.shape[1] == q.shape[1]
+            and v.shape[0] == k.shape[0] and key_rows >= 1 and k.shape[0] % key_rows == 0)
+    key_blocks = k.shape[0] // key_rows if fits else 0
+    own = fits and blocks == key_blocks and (keys == np.arange(blocks)).all()
+    if not (own or fits and keys.min() >= 0 and keys.max() < key_blocks):
+        raise DimensionError(
+            f"block_attention: queries {tuple(q.shape)}, keys {tuple(k.shape)} and values "
+            f"{tuple(v.shape)} do not split into blocks {keys.tolist()} of {key_rows} key rows"
+        )
+    n = q.shape[0] // blocks
+    qb = q.data.reshape(blocks, n, -1)
+    kb = k.data.reshape(key_blocks, key_rows, -1)
+    vb = v.data.reshape(key_blocks, key_rows, -1)
+    if not own:
+        kb, vb = kb[keys], vb[keys]
+    logits = qb @ kb.transpose(0, 2, 1)
+    if scale is not None:
+        logits *= scale
+    if bias is not None:
+        bias = _as_tensor(bias).data
+        if bias.shape != logits.shape:
+            raise DimensionError(
+                f"attention bias shape {tuple(bias.shape)} does not match logits {logits.shape}"
+            )
+        logits += bias
+    weights = _masked_softmax(logits)
+    out = (weights @ vb).reshape(q.shape[0], v.shape[1])
+
+    def key_sums(per_block, shape):
+        """Per key block, the sum of the query blocks' `per_block` entries."""
+        if own:
+            return per_block.reshape(shape)
+        scatter = np.zeros((key_blocks, blocks))
+        scatter[keys, np.arange(blocks)] = 1.0
+        return (scatter @ per_block.reshape(blocks, -1)).reshape(shape)
+
+    def bw(g):
+        gb = g.reshape(blocks, n, -1)
+        gl = _softmax_backward(weights, gb @ vb.transpose(0, 2, 1))
+        if scale is not None:
+            gl *= scale
+        _accumulate(q, (gl @ kb).reshape(q.shape))
+        _accumulate(k, key_sums(gl.transpose(0, 2, 1) @ qb, k.shape))
+        _accumulate(v, key_sums(weights.transpose(0, 2, 1) @ gb, v.shape))
+
+    return _node(out, (q, k, v), bw)
 
 
 def layernorm_lastdim(x, gamma, beta, eps=1e-5):

@@ -73,6 +73,13 @@ def check_op(build, shapes, rng, step=1e-6):
 def _op_checks(rng):
     label = rng.integers(0, 3, (4, 4)).astype(np.uint8)
     label[0, 0] = ag.IGNORE_LABEL
+    # Three query blocks of 2 rows over two key blocks of 3 rows: blocks 0
+    # and 2 share key block 1; a class bias masks one key of block 0 and
+    # the whole second row of block 1, and shifts block 2's logits.
+    attn_bias = np.zeros((3, 2, 3))
+    attn_bias[0, :, 1] = ag.MASKED_SENTINEL
+    attn_bias[1, 1] = ag.MASKED_SENTINEL
+    attn_bias[2] = rng.standard_normal((2, 3))
     checks = OrderedDict([
         ("ops.add", lambda: check_op(ag.add, [(3, 4), (4,)], rng)),
         ("ops.scale", lambda: check_op(lambda a: ag.scale(a, 1.7), [(5,)], rng)),
@@ -81,6 +88,9 @@ def _op_checks(rng):
         ("ops.reshape", lambda: check_op(lambda a: ag.reshape(a, (2, 6)), [(3, 4)], rng)),
         ("ops.relu", lambda: check_op(ag.relu, [(4, 4)], rng)),
         ("ops.softmax", lambda: check_op(ag.softmax_lastdim, [(4, 5)], rng)),
+        ("ops.attention", lambda: check_op(
+            lambda q, k, v: ag.block_attention(q, k, v, [1, 0, 1], 3, attn_bias, 0.5),
+            [(6, 4), (6, 4), (6, 3)], rng)),
         ("ops.layernorm", lambda: check_op(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], rng)),
         ("ops.conv2d", lambda: check_op(
             lambda x, w: ag.conv2d(x, w, stride=1, pad=1), [(2, 5, 5), (3, 2, 3, 3)], rng)),
@@ -101,9 +111,9 @@ def _step_losses(seed):
     """`step_loss` on 8x8 source, pseudo-target and acceptor samples.
 
     `step.ours` runs OURS_PT_TO_INTERMEDIATE with IDR on a batch of two
-    distinct samples, so the batched decoder's block-diagonal masks are
-    differentiated; `step.variant_st` runs VARIANT_ST without IDR on the
-    first sample alone, the batch-of-one path. Together they cover l_pt,
+    distinct samples, so image keys shared by a mixed block and its cross
+    block are differentiated; `step.variant_st` runs VARIANT_ST without
+    IDR on the first sample alone. Together they cover l_pt,
     l_idr, l_src and l_cd with both slot assignments. With lambda_cd = 1
     the cross pass weighs as much as the other terms, and a fresh step
     stream per evaluation draws the same crops and classes every time.

@@ -8,19 +8,18 @@ embeddings, formed at half resolution and then upsampled 2x bilinearly.
 Both steps are linear, so up to float rounding this equals upsampling the
 embeddings first, at a fraction of the cost.
 
-Every attention step is the one `attention` op. Among the class tokens it
-runs as self-attention, or, in the cross-domain pass, with queries from a
-second (conditioning) branch and an additive N x N class bias that removes
+A pass takes a list of equal-size images. The backbone and pixel decoder
+run per image; the transformer decoder runs once, over blocks of N class
+tokens stacked as rows: one block per image and, in the cross-domain pass,
+one more per cross entry. Every attention step is the one op
+`autograd.block_attention`, in which each query block attends only to its
+own key block, so the cost is linear in the number of blocks and every
+image's logits are those of a pass over it alone. Among the class tokens
+attention is self-attention, or, for a cross block, takes its queries from
+another (conditioning) block and adds an N x N class bias that removes
 every row and column indexed by a sampled class; with no class sampled it
 is plain cross-domain attention. Fully masked rows produce zero attention
 output, so the residual connection carries those tokens through unchanged.
-
-A forward pass takes a batch of equal-size images. The backbone and pixel
-decoder run per image; the transformer decoder runs once, over the B
-images' class tokens stacked as rows. A block-diagonal MASKED_SENTINEL
-bias keeps each image's attention to its own keys, so up to float
-summation order every image's logits are those of a pass over it alone.
-A batch of one adds no mask and no row selection.
 """
 
 import io
@@ -61,17 +60,17 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """Intermediate states of one forward pass over a batch of B images.
+    """Intermediate states of one pass over S images and C cross entries.
 
-    Per-image lists hold one entry per image; the decoder's token states
-    are stacked, sample b in rows [b*N, (b+1)*N).
+    Per-image lists hold one entry per image. The decoder runs over S + C
+    blocks, the images' own first: block b's tokens are rows
+    [b*N, (b+1)*N) of `e_class`, and `logits[b]` is its output.
     """
 
     f_img: list  # per image, backbone features: (C_3, H/8, W/8)
     e_pixel: list  # per image, pixel embeddings at half resolution: (C_e, H/2, W/2)
-    layer_queries: list  # per layer, the query of its token-attention step: (B*N, C_e)
-    e_class: Tensor  # final tokens, one row per class and image: (B*N, C_e)
-    logits: list  # per image, its class rows @ its e_pixel upsampled 2x: (N, H, W)
+    e_class: Tensor  # final tokens, one row per class and block: ((S+C)*N, C_e)
+    logits: list  # per block, its class rows @ its image's e_pixel upsampled 2x: (N, H, W)
 
 
 class ModelParams:
@@ -185,25 +184,6 @@ def init_params(config, seed=0):
     return ModelParams.pack(config, arrays, requires_grad=True)
 
 
-def attention(q, k, v, scaled=False, bias=None):
-    """softmax(Q K^T) V, optionally with pre-softmax additive bias.
-
-    No 1/sqrt(d) scaling is applied unless `scaled` is set; the unscaled
-    form is the default throughout this package.
-    """
-    logits = ag.matmul(q, ag.transpose(k))
-    if scaled:
-        logits = ag.scale(logits, 1.0 / math.sqrt(q.shape[-1]))
-    if bias is not None:
-        if bias.shape != logits.shape:
-            raise DimensionError(
-                f"attention bias shape {tuple(bias.shape)} does not match logits {tuple(logits.shape)}"
-            )
-        logits = ag.add(logits, bias)
-    weights = ag.softmax_lastdim(logits)
-    return ag.matmul(weights, v)
-
-
 def build_class_bias(num_classes, sampled_classes):
     """N x N additive bias: entry (x, y) is 0 iff neither x nor y is sampled."""
     classes = sorted(set(int(c) for c in sampled_classes))
@@ -216,21 +196,23 @@ def build_class_bias(num_classes, sampled_classes):
     return Tensor(m)
 
 
-def _multihead(q, k, v, heads, scaled, bias=None):
-    """Attention per head over equal channel groups, joined along channels.
+def _multihead(q, k, v, heads, scaled, keys, key_rows, bias=None):
+    """`ag.block_attention` per head over equal channel groups, joined along channels.
 
     Head h reads channels [h*d, (h+1)*d) through a constant 0/1 selection
     matrix and writes them back through its transpose, so the split and the
-    join copy values exactly.
+    join copy values exactly. `scaled` divides the logits by sqrt(d).
     """
-    if heads == 1:
-        return attention(q, k, v, scaled, bias)
-    eye = np.eye(q.shape[-1])
     d = q.shape[-1] // heads
+    scale = 1.0 / math.sqrt(d) if scaled else None
+    if heads == 1:
+        return ag.block_attention(q, k, v, keys, key_rows, bias, scale)
+    eye = np.eye(q.shape[-1])
     out = None
     for h in range(heads):
         pick = Tensor(eye[:, h * d:(h + 1) * d])
-        head = attention(ag.matmul(q, pick), ag.matmul(k, pick), ag.matmul(v, pick), scaled, bias)
+        head = ag.block_attention(ag.matmul(q, pick), ag.matmul(k, pick), ag.matmul(v, pick),
+                                  keys, key_rows, bias, scale)
         part = ag.matmul(head, Tensor(eye[h * d:(h + 1) * d]))
         out = part if out is None else ag.add(out, part)
     return out
@@ -259,104 +241,63 @@ def _backbone_and_pixels(params, arr):
     return f_img, e_pixel
 
 
-def _batch_bias(blocks, rows, cols):
-    """Additive attention bias of a batch, one diagonal block per sample.
-
-    `blocks[b]` is sample b's (rows, cols) bias Tensor, or None for none.
-    Every entry off the diagonal blocks is MASKED_SENTINEL, so each
-    sample's queries attend only to its own keys. A batch of one needs no
-    mask: its block is returned as is.
-    """
-    if len(blocks) == 1:
-        return blocks[0]
-    m = np.full((len(blocks) * rows, len(blocks) * cols), ag.MASKED_SENTINEL)
-    for b, block in enumerate(blocks):
-        m[b * rows:(b + 1) * rows, b * cols:(b + 1) * cols] = 0.0 if block is None else block.data
-    return Tensor(m)
+def _add_norm(params, name, tokens, contrib):
+    """Residual connection, then the layer norm `name`."""
+    return ag.layernorm_lastdim(ag.add(tokens, contrib), params[name + ".g"], params[name + ".b"])
 
 
-def _decoder(params, f_imgs, token_attn):
-    """Run the transformer decoder once over a batch of backbone features.
+def _decoder(params, f_imgs, cross, token_attention=True):
+    """Run the transformer decoder once over the blocks of a pass.
 
-    The B samples' class tokens are stacked as rows, (B*N, C_e), and their
-    image memories, flattened to (H/8 * W/8, C_3) each, likewise. Row-wise
-    ops need no change; the image cross-attention gets a block-diagonal
-    mask so that each sample reads only its own memory.
-
-    `token_attn(layer, tokens)` implements sublayer (b): it receives the
-    stacked token state entering the attention step and returns (query,
-    contribution): the query its attention used (None if it used none) and
-    the pre-residual attention contribution. Returns (layer_queries, e_class).
+    Block b < S = len(f_imgs) belongs to image b; block S + c to cross
+    entry c = (main, cond, bias). Each block's N class tokens are stacked
+    as rows, ((S+C)*N, C_e), and the S image memories, flattened to
+    (H/8 * W/8, C_3) each, likewise, so image keys and values are computed
+    once per image: a block's image cross-attention reads its own image's,
+    a cross block `main`'s. Token attention runs within each block; a cross
+    block takes its queries from block `cond`'s own token-attention query
+    of the same layer, through a constant 0/1 pick, and adds its class
+    bias. Without `token_attention` that sublayer contributes zero.
+    Returns the final tokens.
     """
     cfg = params.config
-    batch = len(f_imgs)
+    n, images = cfg.num_classes, len(f_imgs)
+    blocks = images + len(cross)
     c3, rows, cols = f_imgs[0].shape
     memory = ag.concat_rows([ag.transpose(ag.reshape(f, (c3, rows * cols))) for f in f_imgs])
-    img_bias = _batch_bias([None] * batch, cfg.num_classes, rows * cols)
-    tokens = ag.concat_rows([params["query_embed"]] * batch)
-    layer_queries = []
+    img_keys = list(range(images)) + [main for main, _, _ in cross]
+    pick = bias = None
+    if cross:
+        conds = list(range(images)) + [cond for _, cond, _ in cross]
+        pick = Tensor(np.kron(np.eye(blocks)[conds], np.eye(n)))
+        bias = np.zeros((blocks, n, n))
+        bias[images:] = [class_bias.data for _, _, class_bias in cross]
+    tokens = ag.concat_rows([params["query_embed"]] * blocks)
     for layer in range(cfg.decoder_layers):
         p = f"dec.{layer}."
         k_img = ag.matmul(memory, params[p + "ca.wk"])
         v_img = ag.matmul(memory, params[p + "ca.wv"])
         q = ag.matmul(tokens, params[p + "ca.wq"])
-        attn_a = _multihead(q, k_img, v_img, cfg.heads, cfg.scaled_attention, img_bias)
-        tokens = ag.layernorm_lastdim(
-            ag.add(tokens, ag.matmul(attn_a, params[p + "ca.wo"])),
-            params[p + "ln1.g"], params[p + "ln1.b"],
-        )
-        query, contrib = token_attn(layer, tokens)
-        layer_queries.append(query)
-        tokens = ag.layernorm_lastdim(
-            ag.add(tokens, contrib), params[p + "ln2.g"], params[p + "ln2.b"],
-        )
+        attn = _multihead(q, k_img, v_img, cfg.heads, cfg.scaled_attention,
+                          img_keys, rows * cols)
+        tokens = _add_norm(params, p + "ln1", tokens, ag.matmul(attn, params[p + "ca.wo"]))
+        if token_attention:
+            q = ag.matmul(tokens, params[p + "sa.wq"])
+            if pick is not None:
+                q = ag.matmul(pick, q)
+            k = ag.matmul(tokens, params[p + "sa.wk"])
+            v = ag.matmul(tokens, params[p + "sa.wv"])
+            attn = _multihead(q, k, v, cfg.heads, cfg.scaled_attention, range(blocks), n, bias)
+            tokens = _add_norm(params, p + "ln2", tokens, ag.matmul(attn, params[p + "sa.wo"]))
+        else:
+            tokens = ag.layernorm_lastdim(tokens, params[p + "ln2.g"], params[p + "ln2.b"])
         h = ag.relu(ag.add(ag.matmul(tokens, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
         h = ag.add(ag.matmul(h, params[p + "ffn.w2"]), params[p + "ffn.b2"])
-        tokens = ag.layernorm_lastdim(
-            ag.add(tokens, h), params[p + "ln3.g"], params[p + "ln3.b"],
-        )
-    return layer_queries, tokens
+        tokens = _add_norm(params, p + "ln3", tokens, h)
+    return tokens
 
 
-def _trace(params, f_imgs, e_pixels, layer_queries, e_class):
-    """ForwardTrace with each sample's logits: its class rows times its pixels."""
-    n, batch = params.config.num_classes, len(f_imgs)
-    rows = [e_class]
-    if batch > 1:
-        eye = np.eye(batch * n)
-        rows = [ag.matmul(Tensor(eye[b * n:(b + 1) * n]), e_class) for b in range(batch)]
-    logits = []
-    for e_rows, e_pixel in zip(rows, e_pixels):
-        ce, h, w = e_pixel.shape
-        out = ag.matmul(e_rows, ag.reshape(e_pixel, (ce, h * w)))
-        logits.append(ag.bilinear_upsample2x(ag.reshape(out, (n, h, w))))
-    return ForwardTrace(f_imgs, e_pixels, layer_queries, e_class, logits)
-
-
-def _token_attention(params, batch, cond_queries=None, biases=None):
-    """Sublayer (b) of `_decoder`: attention among each sample's class tokens.
-
-    Queries are the tokens' own projection, or, in the cross-domain pass,
-    the conditioning branch's query of the same layer; `biases` holds the
-    optional additive class bias of each sample.
-    """
-    cfg = params.config
-    bias = _batch_bias(biases or [None] * batch, cfg.num_classes, cfg.num_classes)
-
-    def token_attn(layer, tokens):
-        p = f"dec.{layer}."
-        if cond_queries is None:
-            q = ag.matmul(tokens, params[p + "sa.wq"])
-        else:
-            q = cond_queries[layer]
-        k = ag.matmul(tokens, params[p + "sa.wk"])
-        v = ag.matmul(tokens, params[p + "sa.wv"])
-        at = _multihead(q, k, v, cfg.heads, cfg.scaled_attention, bias)
-        return q, ag.matmul(at, params[p + "sa.wo"])
-    return token_attn
-
-
-def _forward(params, imgs, token_attn):
+def _forward(params, imgs, cross, token_attention=True):
     arrs = [_check_image(img) for img in imgs]
     if not arrs or any(arr.shape != arrs[0].shape for arr in arrs):
         raise DimensionError(
@@ -365,8 +306,20 @@ def _forward(params, imgs, token_attn):
     trunk = [_backbone_and_pixels(params, arr) for arr in arrs]
     f_imgs = [f for f, _ in trunk]
     e_pixels = [e for _, e in trunk]
-    layer_queries, e_class = _decoder(params, f_imgs, token_attn)
-    return _trace(params, f_imgs, e_pixels, layer_queries, e_class)
+    e_class = _decoder(params, f_imgs, cross, token_attention)
+    # Each block's logits: its class rows times its image's pixel embeddings.
+    n = params.config.num_classes
+    owners = list(range(len(arrs))) + [main for main, _, _ in cross]
+    rows = [e_class]
+    if len(owners) > 1:
+        eye = np.eye(len(owners) * n)
+        rows = [ag.matmul(Tensor(eye[b * n:(b + 1) * n]), e_class) for b in range(len(owners))]
+    logits = []
+    for e_rows, owner in zip(rows, owners):
+        ce, h, w = e_pixels[owner].shape
+        out = ag.matmul(e_rows, ag.reshape(e_pixels[owner], (ce, h * w)))
+        logits.append(ag.bilinear_upsample2x(ag.reshape(out, (n, h, w))))
+    return ForwardTrace(f_imgs, e_pixels, e_class, logits)
 
 
 def forward(params, imgs):
@@ -375,7 +328,7 @@ def forward(params, imgs):
     The trunk runs per image, the decoder once over the batch, with
     self-attention among each image's class tokens.
     """
-    return _forward(params, imgs, _token_attention(params, len(imgs)))
+    return _forward(params, imgs, [])
 
 
 def forward_identity_token_attention(params, imgs):
@@ -385,41 +338,34 @@ def forward_identity_token_attention(params, imgs):
     everything else matches `forward`. Used to verify the fully-masked
     class-aware attention behavior.
     """
-    def token_attn(layer, tokens):
-        return None, Tensor(np.zeros(tokens.shape))
-
-    return _forward(params, imgs, token_attn)
+    return _forward(params, imgs, [], token_attention=False)
 
 
-def forward_cross(params, main, cond, biases):
-    """Cross-domain decoder pass over two existing batched forward traces.
+def forward_cross(params, imgs, cross):
+    """One pass over `imgs` plus one cross-domain block per entry of `cross`.
 
-    `main` is the trace of the main branch: its image features supply the
-    keys and values of the image cross-attention, and its pixel embeddings
-    the logits. `cond` is the `forward` trace of the conditioning branch,
-    over as many images: the query each of its layers' token
-    self-attention computed is that layer's query here, so queries use the
-    same learned projection as the self-attention path. Each decoder
-    layer's token self-attention is replaced by class-aware cross-domain
-    attention: those queries, keys and values from the main branch's
-    tokens, and `biases[b]`, the N x N class bias of sample b.
+    The images' own blocks are those of `forward(params, imgs)`. Entry
+    (main, cond, bias) adds a block over image `main`: its image
+    cross-attention reads `main`'s features and its logits `main`'s pixel
+    embeddings, while each decoder layer's token self-attention becomes
+    class-aware cross-domain attention, with the query that block `cond`'s
+    own token attention computed in the same layer (the same learned
+    projection as the self-attention path), keys and values from the cross
+    block's tokens, and `bias`, an N x N class bias. The trace's logits
+    hold the images' blocks first, then one per entry.
 
-    Only the decoder runs here, once for the batch: the backbone and pixel
-    decoder of both branches are those already recorded in the traces,
-    which other loss terms may share.
+    Image features, keys and values are computed once per image, however
+    many blocks read them.
     """
-    n, batch = params.config.num_classes, len(main.f_img)
-    if len(cond.f_img) != batch or len(biases) != batch:
-        raise DimensionError(
-            f"forward_cross: {batch} main, {len(cond.f_img)} conditioning samples "
-            f"and {len(biases)} class biases"
-        )
-    for bias in biases:
+    n = params.config.num_classes
+    for main, cond, bias in cross:
+        if not (0 <= main < len(imgs) and 0 <= cond < len(imgs)):
+            raise DimensionError(
+                f"forward_cross: entry ({main}, {cond}) names an image outside the {len(imgs)} given"
+            )
         if bias.shape != (n, n):
             raise DimensionError(f"class bias shape {tuple(bias.shape)} is not ({n}, {n})")
-    token_attn = _token_attention(params, batch, cond.layer_queries, biases)
-    layer_queries, e_class = _decoder(params, main.f_img, token_attn)
-    return _trace(params, main.f_img, main.e_pixel, layer_queries, e_class)
+    return _forward(params, imgs, cross)
 
 
 def predict(params, img):

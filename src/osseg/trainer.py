@@ -6,10 +6,12 @@ optionally on a cross-domain pass whose token queries come from a
 conditioning branch. The teacher is an exponential moving average of the
 student and is the model used for pseudo-labels and inference.
 
-A step runs the student's forward pass at most once per batch of crops of
-one role (pseudo-target, mixed, source): every loss term reads the trace of
-its image, and the cross-domain pass runs only its decoder, once for the
-batch, over two of those traces (see `segmodel.forward_cross`).
+A step first lets the teacher pseudo-label the acceptor crops and builds
+the mixed crops, then makes one student call over every crop it needs
+(pseudo-target, mixed, and source for the variants) plus one cross-domain
+block per sample (see `segmodel.forward_cross`): each crop's trunk, image
+keys and values are computed once, and every loss term reads its block's
+logits.
 """
 
 import math
@@ -21,25 +23,27 @@ import numpy as np
 from . import autograd as ag
 from . import mixer, segmodel, styletransfer
 from .autograd import Tensor, cross_entropy_pixelwise
-from .errors import ArgumentError, TrainingError
+from .errors import ArgumentError, NumericError, TrainingError
 from .rng import derive_rng
 from .segmodel import ModelConfig, build_class_bias, forward, forward_cross
 from .synthdata import IGNORE, DomainSample, DomainTag
 
 _BOOL_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
-# The batched decoder's block-diagonal attention matrices grow as batch**2.
+# A full training run at batch 64 and crop 64 peaks near 1 GiB resident (see README).
 MAX_BATCH = 64
 
 
 class AttentionPairing(Enum):
-    """Which traces fill the two slots of `segmodel.forward_cross`.
+    """Which crops fill the two slots of each `segmodel.forward_cross` entry.
 
-    The main branch is the intermediate image for OURS_PT_TO_INTERMEDIATE
-    and VARIANT_S and the pseudo-target image for VARIANT_ST; the
-    conditioning branch is the pseudo-target image for
-    OURS_PT_TO_INTERMEDIATE and the source image for both variants. NONE
-    runs no cross-domain pass.
+    Each sample's cross block runs over its main crop, with the token
+    queries of its conditioning crop's own block in the same student call.
+    The main crop is the intermediate (mixed) crop for
+    OURS_PT_TO_INTERMEDIATE and VARIANT_S and the pseudo-target crop for
+    VARIANT_ST; the conditioning crop is the pseudo-target crop for
+    OURS_PT_TO_INTERMEDIATE and the source crop for both variants. NONE
+    adds no cross block.
     """
 
     NONE = "none"
@@ -132,6 +136,8 @@ class AdamW:
     operations per step, through two preallocated scratch vectors. Each
     elementwise product and sum is taken in the order the comments give,
     so the result is bit-identical to that formula applied per tensor.
+    A second moment that overflows raises NumericError before the
+    parameters move.
     """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
@@ -158,6 +164,8 @@ class AdamW:
         v *= self.beta2
         np.multiply(g, 1.0 - self.beta2, out=a)
         v += np.multiply(a, g, out=a)
+        if not np.isfinite(v).all():
+            raise NumericError("AdamW second moment overflowed")
         # update = (m/bc1) / (sqrt(v/bc2) + eps); p -= lr*(update + wd*p)
         np.sqrt(np.divide(v, bc2, out=a), out=a)
         a += self.eps
@@ -202,22 +210,19 @@ def _crop_positions(rng, h, w, size):
     return top, left
 
 
-def _batch_mean(terms):
-    if not terms:
-        return Tensor(np.zeros(()))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ag.add(total, t)
-    return ag.scale(total, 1.0 / len(terms))
-
-
 def _check_finite(value, term, step):
     if not math.isfinite(value):
         raise TrainingError(f"step {step}: loss term {term} is non-finite ({value})")
 
 
-def _terms(trace, labels):
-    return [cross_entropy_pixelwise(logits, y) for logits, y in zip(trace.logits, labels)]
+def _mean_loss(logits, labels):
+    """Mean pixelwise cross-entropy over the blocks; a constant 0 for none."""
+    if not logits:
+        return Tensor(np.zeros(()))
+    total = cross_entropy_pixelwise(logits[0], labels[0])
+    for x, y in zip(logits[1:], labels[1:]):
+        total = ag.add(total, cross_entropy_pixelwise(x, y))
+    return ag.scale(total, 1.0 / len(logits))
 
 
 def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
@@ -229,17 +234,18 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
     plus `l_src` for VARIANT_ST.
 
     Every sample's crops and sampled classes are drawn first, in sample
-    order. Then the student traces the batch of pseudo-target crops, of
-    mixed crops (when IDR or the pairing needs them) and of source crops
-    (variants only) once each, the teacher labels the acceptor crops in
-    one pass, and one cross pass runs over two of those traces; the loss
-    terms share them.
+    order. Then the teacher labels the acceptor crops in one pass and the
+    mixed crops are built (when IDR or the pairing needs them). One student
+    call runs over the pseudo-target crops, the mixed crops, the source
+    crops (variants only) and one cross block per sample; every loss term
+    reads its blocks' logits.
     """
     n = student.config.num_classes
     size = cfg.crop
     need_mix = cfg.use_idr or cfg.pairing in (
         AttentionPairing.OURS_PT_TO_INTERMEDIATE, AttentionPairing.VARIANT_S,
     )
+    need_src = cfg.pairing in (AttentionPairing.VARIANT_ST, AttentionPairing.VARIANT_S)
     pt_imgs, labels, src_imgs, acc_imgs, acc_gts, sampled = [], [], [], [], [], []
     for src_i, pt_i, src_j in zip(batch_src, batch_pt, batch_acceptor):
         h, w = src_i.label.shape
@@ -253,10 +259,9 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
         if need_mix or cfg.pairing is not AttentionPairing.NONE:
             sampled.append(mixer.sample_classes(labels[-1], rng))
 
-    pt_trace = forward(student, pt_imgs)
-    l_pt = _batch_mean(_terms(pt_trace, labels))
+    batch = len(pt_imgs)
+    imgs, mixed_labels = list(pt_imgs), []
     if need_mix:
-        mixed = []
         mix = mixer.mix_with_ground_truth if cfg.use_ground_truth_mix else mixer.mix
         acc_pls = pseudo_label(teacher, acc_imgs, cfg.pseudo_label_threshold)
         for pt_img, y_i, acc_img, acc_gt, acc_pl, classes in zip(
@@ -265,27 +270,32 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
                 donor=DomainSample(pt_img, y_i, DomainTag.PSEUDO_TARGET),
                 acceptor=DomainSample(acc_img, acc_gt, DomainTag.SOURCE, pseudo_label=acc_pl),
             )
-            mixed.append(mix(pair, mixer.build_mask(y_i, classes)))
-        mixed_labels = [m.label for m in mixed]
-        mixed_trace = forward(student, [m.image for m in mixed])
-    l_idr = _batch_mean(_terms(mixed_trace, mixed_labels)) if cfg.use_idr else Tensor(np.zeros(()))
+            mixed = mix(pair, mixer.build_mask(y_i, classes))
+            imgs.append(mixed.image)
+            mixed_labels.append(mixed.label)
+    src_at = len(imgs)
+    if need_src:
+        imgs += src_imgs
 
-    l_cd = Tensor(np.zeros(()))
-    l_src = None
+    # Cross entries (main, cond, bias): the mixed crops start at `batch`.
+    cross, cd_labels = [], []
     if cfg.pairing is not AttentionPairing.NONE:
-        biases = [build_class_bias(n, classes) for classes in sampled]
-        if cfg.pairing is AttentionPairing.OURS_PT_TO_INTERMEDIATE:
-            main, cond, cd_labels = mixed_trace, pt_trace, mixed_labels
-        elif cfg.pairing is AttentionPairing.VARIANT_S:
-            main, cond, cd_labels = mixed_trace, forward(student, src_imgs), mixed_labels
-        else:  # VARIANT_ST: source conditions the pseudo-target branch
-            cond = forward(student, src_imgs)
-            l_src = _batch_mean(_terms(cond, labels))
-            main, cd_labels = pt_trace, labels
-        l_cd = _batch_mean(_terms(forward_cross(student, main, cond, biases), cd_labels))
+        main_at, cond_at, cd_labels = {
+            AttentionPairing.OURS_PT_TO_INTERMEDIATE: (batch, 0, mixed_labels),
+            AttentionPairing.VARIANT_S: (batch, src_at, mixed_labels),
+            AttentionPairing.VARIANT_ST: (0, src_at, labels),
+        }[cfg.pairing]
+        cross = [(main_at + b, cond_at + b, build_class_bias(n, classes))
+                 for b, classes in enumerate(sampled)]
+    logits = (forward_cross(student, imgs, cross) if cross else forward(student, imgs)).logits
 
+    l_pt = _mean_loss(logits[:batch], labels)
+    l_idr = _mean_loss(logits[batch:2 * batch] if cfg.use_idr else [], mixed_labels)
+    l_cd = _mean_loss(logits[len(imgs):], cd_labels)
     total = ag.add(ag.add(l_pt, l_idr), ag.scale(l_cd, cfg.lambda_cd))
-    if l_src is not None:
+    l_src = None
+    if cfg.pairing is AttentionPairing.VARIANT_ST:
+        l_src = _mean_loss(logits[src_at:src_at + batch], labels)
         total = ag.add(total, l_src)
 
     report = LossReport(
@@ -297,14 +307,27 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
 
 def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
                optimizer, step=0):
-    """One optimization step over `step_loss`; returns its LossReport."""
-    total, report = step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg)
-    for term in ("l_pt", "l_idr", "l_cd", "l_total"):
-        _check_finite(getattr(report, term), term, step)
-    student.zero_grad()
-    ag.backward(total)
-    optimizer.step()
-    ema_update(teacher, student, cfg.ema_alpha)
+    """One optimization step over `step_loss`; returns its LossReport.
+
+    A diverging step raises TrainingError naming the step: a non-finite
+    loss term, a NaN reaching an attention softmax, a non-finite gradient
+    or an overflowing AdamW second moment. Those whole-vector checks stand
+    in for numpy's per-op floating-point warnings, which are silenced here.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            total, report = step_loss(student, teacher, batch_src, batch_pt, batch_acceptor,
+                                      rng, cfg)
+            for term in ("l_pt", "l_idr", "l_cd", "l_total"):
+                _check_finite(getattr(report, term), term, step)
+            student.zero_grad()
+            ag.backward(total)
+            if not np.isfinite(student.grad).all():
+                raise NumericError("non-finite gradient")
+            optimizer.step()
+        except NumericError as exc:
+            raise TrainingError(f"step {step}: {exc}") from exc
+        ema_update(teacher, student, cfg.ema_alpha)
     return report
 
 

@@ -14,7 +14,6 @@ from osseg import cli, evalmetrics, gradcheck, mixer, styletransfer, synthdata
 from osseg.autograd import Tensor
 from osseg.segmodel import (
     ModelConfig,
-    attention,
     build_class_bias,
     forward,
     forward_cross,
@@ -121,8 +120,8 @@ def test_criterion_4_cacda_masking():
         if (sums[row_masked] != 0.0).any():
             masking_ok = False
 
-    empty = attention(q, k, v, bias=build_class_bias(n, set()))
-    plain = attention(q, k, v)
+    empty = ag.block_attention(q, k, v, [0], n, bias=build_class_bias(n, set()).data[None])
+    plain = ag.block_attention(q, k, v, [0], n)
     reduces = np.array_equal(empty.data, plain.data)
 
     model = ModelConfig(num_classes=n, embed_dim=8, decoder_layers=2,
@@ -130,8 +129,8 @@ def test_criterion_4_cacda_masking():
     params = init_params(model, seed=3)
     img_m = rng.random((8, 8, 3))
     img_pt = rng.random((8, 8, 3))
-    cross = forward_cross(params, forward(params, [img_m]), forward(params, [img_pt]),
-                          [build_class_bias(n, set(range(n)))]).logits[0].data
+    cross = forward_cross(params, [img_m, img_pt],
+                          [(0, 1, build_class_bias(n, set(range(n))))]).logits[2].data
     reference = forward_identity_token_attention(params, [img_m]).logits[0].data
     residual_err = np.abs(cross - reference).max()
     ok = masking_ok and reduces and residual_err < 1e-9

@@ -73,6 +73,61 @@ class TestSoftmax:
         check_op_gradient(build, [(3, 4)], seed=3)
 
 
+class TestBlockAttention:
+    @staticmethod
+    def _reference(q, k, v, keys, key_rows, bias, scale):
+        """Per query block, softmax_lastdim(scale * Q_b K_j^T + bias[b]) V_j."""
+        n = q.shape[0] // len(keys)
+        out = []
+        for b, j in enumerate(keys):
+            kj, vj = k[j * key_rows:(j + 1) * key_rows], v[j * key_rows:(j + 1) * key_rows]
+            logits = scale * q[b * n:(b + 1) * n] @ kj.T + bias[b]
+            out.append(ag.softmax_lastdim(Tensor(logits)).data @ vj)
+        return np.concatenate(out)
+
+    def test_matches_per_block_reference(self):
+        rng = np.random.default_rng(4)
+        q, k, v = rng.standard_normal((6, 4)), rng.standard_normal((8, 4)), rng.standard_normal((8, 3))
+        keys = [1, 0, 1]
+        bias = rng.standard_normal((3, 2, 4))
+        bias[0, :, 2] = ag.MASKED_SENTINEL
+        out = ag.block_attention(Tensor(q), Tensor(k), Tensor(v), keys, 4, bias, 0.5)
+        assert np.allclose(out.data, self._reference(q, k, v, keys, 4, bias, 0.5),
+                           rtol=0.0, atol=1e-12)
+
+    def test_fully_masked_row_is_zero(self):
+        rng = np.random.default_rng(5)
+        q, k, v = (Tensor(rng.standard_normal((2, 3))) for _ in range(3))
+        bias = np.zeros((1, 2, 2))
+        bias[0, 1] = ag.MASKED_SENTINEL
+        out = ag.block_attention(q, k, v, [0], 2, bias)
+        assert np.array_equal(out.data[1], [0.0, 0.0, 0.0])
+        assert np.abs(out.data[0]).max() > 0.0
+
+    def test_nan_raises(self):
+        q = Tensor(np.array([[np.nan, 0.0]]))
+        with pytest.raises(NumericError):
+            ag.block_attention(q, Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), [0], 1)
+
+    @pytest.mark.parametrize("keys, key_rows, bias_shape", [
+        ([2], 2, None),        # names a key block that does not exist
+        ([0, 0, 0], 2, None),  # 4 query rows do not split into 3 blocks
+        ([0], 3, None),        # 4 key rows do not split into blocks of 3
+        ([0], 2, (1, 4, 4)),   # bias does not match the (1, 4, 2) logits
+    ])
+    def test_shape_errors(self, keys, key_rows, bias_shape):
+        t = Tensor(np.ones((4, 2)))
+        bias = None if bias_shape is None else np.zeros(bias_shape)
+        with pytest.raises(DimensionError):
+            ag.block_attention(t, t, t, keys, key_rows, bias)
+
+    def test_gradient_with_shared_key_block(self):
+        bias = np.zeros((3, 2, 3))
+        bias[1, 0] = ag.MASKED_SENTINEL
+        check_op_gradient(lambda q, k, v: ag.block_attention(q, k, v, [0, 0, 1], 3, bias),
+                          [(6, 4), (6, 4), (6, 2)], seed=6)
+
+
 class TestConv2d:
     def test_ones_times_two(self):
         x = Tensor(np.ones((1, 3, 3)))

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,21 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("line", ["lr = 1e6", "lambda_cd = 1e300"])
+    def test_diverging_run_is_data_error_naming_the_step(self, pipeline, tmp_path, capsys,
+                                                         line):
+        # Each overflows within a few steps. The run must stop with one
+        # error line naming the step; a numpy RuntimeWarning on the way
+        # would fail this test, as the suite turns warnings into errors.
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"iterations = 40\npairing = ours_pt_to_intermediate\n{line}\n")
+        ckpt = tmp_path / "c.osseg"
+        assert run("train", "--config", str(cfgfile), "--data-root", str(pipeline / "data"),
+                   "--out", str(ckpt), "--log", str(tmp_path / "l.csv")) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: step \d+: [^\n]+\n", err), err
+        assert not ckpt.exists()
+
     def test_all_ignore_labels_is_data_error(self, tmp_path, capsys):
         # Every crop of an all-ignore label map has no class to sample:
         # a fault in the data (exit 1), not in the command line (exit 2).
@@ -354,9 +370,9 @@ class TestGradcheckCommand:
         def scaled(orig):
             return lambda g: orig(g * 1.5)
 
-        def broken_cross(params, main, cond, biases):
-            trace = real_cross(params, main, cond, biases)
-            for logits in trace.logits:
+        def broken_cross(params, imgs, cross):
+            trace = real_cross(params, imgs, cross)
+            for logits in trace.logits[len(imgs):]:
                 logits._backward_fn = scaled(logits._backward_fn)
             return trace
 

@@ -1,0 +1,105 @@
+"""Fuzz tests of the input parsers: every byte string loads or raises OssegError."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from osseg.errors import OssegError
+from osseg.synthdata import read_image, read_label
+from osseg.trainer import TrainConfig, _CONFIG_PARSERS, parse_config_file
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _valid_pnm(magic, width, height, channels):
+    header = b"%s\n%d %d\n255\n" % (magic, width, height)
+    return header + bytes((i * 37) % 256 for i in range(width * height * channels))
+
+
+@st.composite
+def _mutated(draw, valid):
+    """`valid` with one edit: a truncation, an overwritten byte, an insertion."""
+    blob = bytearray(valid)
+    pos = draw(st.integers(0, len(blob)))
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    if kind == "truncate":
+        return bytes(blob[:pos])
+    if kind == "overwrite" and pos < len(blob):
+        blob[pos] = draw(st.integers(0, 255))
+        return bytes(blob)
+    return bytes(blob[:pos]) + draw(st.binary(min_size=1, max_size=8)) + bytes(blob[pos:])
+
+
+def _pnm_bytes(magic, channels):
+    header_tokens = st.lists(
+        st.one_of(st.integers(-3, 300).map(lambda i: str(i).encode()),
+                  st.sampled_from([b"#c\n", b"", b"x", b"255", b"\xff", b"0"])),
+        max_size=4)
+    return st.one_of(
+        st.binary(max_size=64),
+        st.tuples(header_tokens, st.binary(max_size=64)).map(
+            lambda t: magic + b" " + b" ".join(t[0]) + b"\n" + t[1]),
+        st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+            lambda wh: _mutated(_valid_pnm(magic, wh[0], wh[1], channels))),
+    )
+
+
+def _loads_or_osseg_error(read, blob):
+    fd, path = tempfile.mkstemp(suffix=".pnm")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(blob)
+        try:
+            out = read(path)
+        except OssegError:
+            return
+        assert out.dtype in (np.float64, np.uint8)
+    finally:
+        os.unlink(path)
+
+
+@FUZZ
+@given(_pnm_bytes(b"P6", 3))
+def test_read_image_loads_or_raises_osseg_error(blob):
+    _loads_or_osseg_error(read_image, blob)
+
+
+@FUZZ
+@given(_pnm_bytes(b"P5", 1))
+def test_read_label_loads_or_raises_osseg_error(blob):
+    _loads_or_osseg_error(lambda path: read_label(path, num_classes=5), blob)
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["1", "0", "-1", "64", "65", "8", "16", "nan", "inf", "-inf", "1e6",
+                     "1e400", "0.5", "true", "false", "none", "variant_st", "", "1_0",
+                     "99999999999999999999"]),
+    st.text(max_size=6),
+)
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(sorted(_CONFIG_PARSERS)), _VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}".encode("utf-8")),
+    st.binary(max_size=16),
+    st.just(b"# comment"),
+)
+
+
+@FUZZ
+@given(st.lists(_CONFIG_LINE, max_size=6))
+def test_parse_config_file_loads_or_raises_osseg_error(lines):
+    blob = b"\n".join(lines)
+    fd, path = tempfile.mkstemp(suffix=".cfg")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(blob)
+        try:
+            cfg = parse_config_file(path)
+        except OssegError:
+            return
+        assert isinstance(cfg, TrainConfig)
+    finally:
+        os.unlink(path)

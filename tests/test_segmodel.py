@@ -16,7 +16,6 @@ from osseg.gradcheck import fd_gradient, rel_error
 from osseg.segmodel import (
     ModelConfig,
     _multihead,
-    attention,
     build_class_bias,
     forward,
     forward_cross,
@@ -37,6 +36,12 @@ def tiny_params(seed=0):
 
 def rand_img(rng, size=8):
     return rng.random((size, size, 3))
+
+
+def attention(q, k, v, scaled=False, bias=None):
+    """One query block on one key block, with an optional N x M bias Tensor."""
+    return _multihead(q, k, v, 1, scaled, [0], k.shape[0],
+                      None if bias is None else bias.data[None])
 
 
 def assert_grads_match_fd(params, loss_of, names):
@@ -185,7 +190,7 @@ class TestForward:
         assert trace.logits[0].shape == (3, 16, 16)
         assert trace.e_pixel[0].shape == (8, 8, 8)
         assert trace.e_class.shape == (3, 8)
-        assert len(trace.layer_queries) == 2
+        assert len(trace.logits) == 1
 
     def test_zero_params_give_uniform_softmax(self):
         params = tiny_params()
@@ -269,7 +274,8 @@ class TestMultihead:
         rng = np.random.default_rng(24)
         q, k, v = (rng.standard_normal((3, 8)) for _ in range(3))
         bias = None if sampled is None else build_class_bias(3, sampled)
-        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, scaled, bias)
+        bias = None if bias is None else bias.data[None]
+        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, scaled, [0], 3, bias)
         assert np.allclose(out.data, self._reference(q, k, v, 2, scaled, sampled),
                            rtol=0.0, atol=1e-12)
 
@@ -278,7 +284,7 @@ class TestMultihead:
         rng = np.random.default_rng(25)
         q = rng.standard_normal((3, 8))
         k, v = rng.standard_normal((6, 8)), rng.standard_normal((6, 8))
-        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, False)
+        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, False, [0], 6)
         assert np.allclose(out.data, self._reference(q, k, v, 2, False, None),
                            rtol=0.0, atol=1e-12)
 
@@ -290,9 +296,8 @@ class TestMultihead:
         bias = build_class_bias(3, {2})
 
         def loss_of():
-            trace = forward_cross(params, forward(params, [img_m]), forward(params, [img_pt]),
-                                  [bias])
-            return cross_entropy_pixelwise(trace.logits[0], label)
+            trace = forward_cross(params, [img_m, img_pt], [(0, 1, bias)])
+            return cross_entropy_pixelwise(trace.logits[2], label)
 
         assert_grads_match_fd(params, loss_of,
                               ["dec.0.sa.wq", "dec.1.sa.wv", "dec.0.ca.wk", "dec.1.sa.wo"])
@@ -302,9 +307,8 @@ class TestForwardCross:
     def test_identical_images_empty_set_equals_forward(self):
         params = tiny_params(seed=3)
         img = rand_img(np.random.default_rng(18))
-        trace = forward(params, [img])
-        plain = trace.logits[0].data
-        cross = forward_cross(params, trace, trace, [build_class_bias(3, set())]).logits[0].data
+        plain = forward(params, [img]).logits[0].data
+        cross = forward_cross(params, [img], [(0, 0, build_class_bias(3, set()))]).logits[1].data
         assert np.abs(cross - plain).max() < 1e-9
 
     def test_fully_masked_bias_matches_identity_sublayer_path(self):
@@ -313,9 +317,8 @@ class TestForwardCross:
         img_m = rand_img(rng)
         img_pt = rand_img(rng)
         cross = forward_cross(
-            params, forward(params, [img_m]), forward(params, [img_pt]),
-            [build_class_bias(3, {0, 1, 2})],
-        ).logits[0].data
+            params, [img_m, img_pt], [(0, 1, build_class_bias(3, {0, 1, 2}))],
+        ).logits[2].data
         reference = forward_identity_token_attention(params, [img_m]).logits[0].data
         assert np.abs(cross - reference).max() < 1e-9
 
@@ -325,8 +328,8 @@ class TestForwardCross:
         img_m = rand_img(rng)
         img_pt = rand_img(rng)
         cross = forward_cross(
-            params, forward(params, [img_m]), forward(params, [img_pt]), [build_class_bias(3, set())],
-        ).logits[0].data
+            params, [img_m, img_pt], [(0, 1, build_class_bias(3, set()))],
+        ).logits[2].data
         plain = forward(params, [img_m]).logits[0].data
         assert np.abs(cross - plain).max() > 1e-9
 
@@ -339,18 +342,17 @@ class TestForwardCross:
         bias = build_class_bias(3, {1})
 
         def loss_of():
-            trace = forward_cross(params, forward(params, [img_m]), forward(params, [img_pt]),
-                                  [bias])
-            return cross_entropy_pixelwise(trace.logits[0], label)
+            trace = forward_cross(params, [img_m, img_pt], [(0, 1, bias)])
+            return cross_entropy_pixelwise(trace.logits[2], label)
 
         assert_grads_match_fd(params, loss_of,
                               ["dec.0.sa.wq", "dec.1.sa.wk", "backbone.1.w", "query_embed"])
 
     def test_wrong_bias_shape(self):
         params = tiny_params()
-        trace = forward(params, [rand_img(np.random.default_rng(17))])
+        img = rand_img(np.random.default_rng(17))
         with pytest.raises(DimensionError):
-            forward_cross(params, trace, trace, [build_class_bias(4, set())])
+            forward_cross(params, [img], [(0, 0, build_class_bias(4, set()))])
 
 
 class TestBatchedDecoder:
@@ -360,10 +362,10 @@ class TestBatchedDecoder:
 
     @staticmethod
     def _passes(params, mains, conds, sampled, labels):
-        """Logits of forward (both branches) and forward_cross, and their summed loss."""
-        main, cond = forward(params, mains), forward(params, conds)
-        cross = forward_cross(params, main, cond, [build_class_bias(3, s) for s in sampled])
-        logits = main.logits + cond.logits + cross.logits
+        """Logits of both branches' own blocks and of the cross blocks, and their summed loss."""
+        batch = len(mains)
+        cross = [(b, batch + b, build_class_bias(3, s)) for b, s in enumerate(sampled)]
+        logits = forward_cross(params, mains + conds, cross).logits
         total = None
         for out, label in zip(logits, labels * 3):
             term = cross_entropy_pixelwise(out, label)
@@ -410,16 +412,39 @@ class TestBatchedDecoder:
     def test_mismatched_batches_rejected(self):
         params = tiny_params()
         rng = np.random.default_rng(33)
-        two = forward(params, [rand_img(rng), rand_img(rng)])
-        one = forward(params, [rand_img(rng)])
+        two = [rand_img(rng), rand_img(rng)]
+        bias = build_class_bias(3, set())
         with pytest.raises(DimensionError):
-            forward_cross(params, two, one, [build_class_bias(3, set())] * 2)
+            forward_cross(params, two, [(2, 0, bias)])
         with pytest.raises(DimensionError):
-            forward_cross(params, two, two, [build_class_bias(3, set())])
+            forward_cross(params, two, [(0, -1, bias)])
         with pytest.raises(DimensionError):
             forward(params, [rand_img(rng, 8), rand_img(rng, 16)])
         with pytest.raises(DimensionError):
             forward(params, [])
+
+    def test_forward_logits_are_bitwise_those_of_one_image(self):
+        # The default network at 64x64, whose image memory has 64 rows.
+        params = init_params(ModelConfig(), seed=3)
+        rng = np.random.default_rng(34)
+        imgs = [rand_img(rng, 64) for _ in range(6)]
+        alone = [forward(params, [img]).logits[0].data for img in imgs]
+        for chunk in (2, 3, 6):
+            for start in range(0, len(imgs), chunk):
+                batched = forward(params, imgs[start:start + chunk]).logits
+                for got, want in zip(batched, alone[start:start + chunk]):
+                    assert np.array_equal(got.data, want)
+
+    def test_cross_blocks_match_one_sample_passes(self):
+        params = init_params(ModelConfig(), seed=4)
+        rng = np.random.default_rng(35)
+        imgs = [rand_img(rng, 32) for _ in range(4)]
+        cross = [(0, 2, build_class_bias(5, {1})), (3, 3, build_class_bias(5, set())),
+                 (0, 1, build_class_bias(5, {0, 2, 4})), (2, 0, build_class_bias(5, range(5)))]
+        batched = forward_cross(params, imgs, cross).logits[len(imgs):]
+        for got, (main, cond, bias) in zip(batched, cross):
+            want = forward_cross(params, [imgs[main], imgs[cond]], [(0, 1, bias)]).logits[2]
+            assert np.abs(got.data - want.data).max() <= 1e-12
 
 
 class TestPredict:

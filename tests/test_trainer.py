@@ -432,15 +432,15 @@ class TestConfigFile:
 
 
 class TestSharedTraces:
-    """Each batch's student trace is built once per step and read by every loss;
-    the decoder runs once per batch, the trunk once per image."""
+    """A step makes one student call, read by every loss, and one teacher call;
+    the decoder runs once per call, the trunk once per image."""
 
     @staticmethod
     def _count_calls(monkeypatch, cfg):
         from osseg import autograd, segmodel, trainer
 
-        calls = {"forward": 0, "decoder": 0, "conv2d": 0, "matmul": 0, "bilinear_upsample2x": 0,
-                 "nodes": 0}
+        calls = {"forward": 0, "forward_cross": 0, "decoder": 0, "conv2d": 0, "matmul": 0,
+                 "bilinear_upsample2x": 0, "nodes": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -467,6 +467,9 @@ class TestSharedTraces:
         forward = counting("forward", segmodel.forward)
         monkeypatch.setattr(segmodel, "forward", forward)
         monkeypatch.setattr(trainer, "forward", forward)
+        forward_cross = counting("forward_cross", segmodel.forward_cross)
+        monkeypatch.setattr(segmodel, "forward_cross", forward_cross)
+        monkeypatch.setattr(trainer, "forward_cross", forward_cross)
         monkeypatch.setattr(segmodel, "_decoder", counting("decoder", segmodel._decoder))
         for op in ("conv2d", "matmul", "bilinear_upsample2x"):
             monkeypatch.setattr(autograd, op, counting(op, getattr(autograd, op)))
@@ -477,25 +480,27 @@ class TestSharedTraces:
         return calls
 
     def test_full_step_builds_each_trace_once(self, monkeypatch):
-        # One forward per batch: pseudo-target, teacher pseudo-label, mixed;
-        # one decoder pass for each and one for the cross pass.
+        # The teacher's pseudo-label pass, then one student call over the
+        # pseudo-target and mixed crops and one cross block per sample.
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
         assert self._count_calls(monkeypatch, cfg) == {
-            "forward": 3, "decoder": 4, "conv2d": 30, "matmul": 126, "bilinear_upsample2x": 20,
-            "nodes": 303,
+            "forward": 1, "forward_cross": 1, "decoder": 2, "conv2d": 30, "matmul": 58,
+            "bilinear_upsample2x": 20, "nodes": 167,
         }
 
     def test_variant_st_step_reuses_source_and_pt_traces(self, monkeypatch):
-        # Per sample: pseudo-target, teacher pseudo-label, mixed, source.
+        # Per sample: pseudo-target, teacher pseudo-label, mixed, source;
+        # one student call over all but the teacher's crops.
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.VARIANT_ST, use_idr=True)
         calls = self._count_calls(monkeypatch, cfg)
-        assert (calls["conv2d"], calls["forward"], calls["decoder"]) == (40, 4, 5)
+        assert (calls["conv2d"], calls["forward"], calls["forward_cross"],
+                calls["decoder"]) == (40, 1, 1, 2)
 
     def test_supervised_step_counts(self, monkeypatch):
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.NONE, use_idr=False)
         assert self._count_calls(monkeypatch, cfg) == {
-            "forward": 1, "decoder": 1, "conv2d": 10, "matmul": 32, "bilinear_upsample2x": 6,
-            "nodes": 114,
+            "forward": 1, "forward_cross": 0, "decoder": 1, "conv2d": 10, "matmul": 24,
+            "bilinear_upsample2x": 6, "nodes": 98,
         }
 
     @pytest.mark.parametrize("pairing", sorted(PINNED_LOSSES))
