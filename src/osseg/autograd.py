@@ -150,8 +150,10 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _node(data, (a, b), bw)
 

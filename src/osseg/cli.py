@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import __version__
-from . import evalmetrics, gradcheck, mixer, styletransfer, synthdata, trainer
+from . import evalmetrics, gradcheck, styletransfer, synthdata, trainer
 from .errors import ArgumentError, OssegError
 from .rng import derive_rng
 from .segmodel import load_checkpoint, predict, save_checkpoint
@@ -25,7 +25,6 @@ from .synthdata import (
     SceneSpec,
     read_dataset,
     read_image,
-    read_label,
     write_dataset,
     write_image,
     write_label,
@@ -47,12 +46,10 @@ def _write_run_manifest(out_dir, command, config, seed, started):
 
 def cmd_gen_data(args):
     started = time.time()
-    if args.domain == "source":
-        spec = SceneSpec(palette=SOURCE_PALETTE, layout_mode=LayoutMode.OPEN_FIELD,
-                         seed=args.seed, image_size=(args.size, args.size))
-    else:
-        spec = SceneSpec(palette=TARGET_PALETTE, layout_mode=LayoutMode.DENSE_CITY,
-                         seed=args.seed, image_size=(args.size, args.size))
+    palette, layout = {"source": (SOURCE_PALETTE, LayoutMode.OPEN_FIELD),
+                       "target": (TARGET_PALETTE, LayoutMode.DENSE_CITY)}[args.domain]
+    spec = SceneSpec(palette=palette, layout_mode=layout, seed=args.seed,
+                     image_size=(args.size, args.size))
     samples = synthdata.generate_dataset(spec, args.count)
     write_dataset(args.out, args.domain, samples)
     _write_run_manifest(
@@ -78,35 +75,41 @@ def cmd_stylize(args):
     return 0
 
 
+def _read_train_data(root):
+    """<root>/source, with <root>/pt if it has a manifest.txt, else <root>/reference.ppm."""
+    source = read_dataset(os.path.join(root, "source"))
+    if os.path.exists(os.path.join(root, "pt", "manifest.txt")):
+        pseudo = read_dataset(os.path.join(root, "pt"), domain_tag=DomainTag.PSEUDO_TARGET)
+        return trainer.TrainData(source=source, pseudo_target=pseudo)
+    if os.path.exists(os.path.join(root, "reference.ppm")):
+        reference = read_image(os.path.join(root, "reference.ppm"))
+        return trainer.TrainData(source=source, reference=reference)
+    raise ArgumentError(f"{root}: need either pt/manifest.txt or reference.ppm")
+
+
 def cmd_mix(args):
     started = time.time()
-    if args.count < 1:
-        raise ArgumentError(f"count must be >= 1, got {args.count}")
-    donors = read_dataset(args.pt_dir, domain_tag=DomainTag.PSEUDO_TARGET)
-    acceptors = read_dataset(args.src_dir, domain_tag=DomainTag.SOURCE)
-    rng = derive_rng(args.seed, "mix")
-    out_samples = []
-    sidecars = []
-    for _ in range(args.count):
-        i = int(rng.integers(0, len(donors)))
-        j = int(rng.integers(0, len(acceptors)))
-        acceptor = acceptors[j]
-        acceptor.pseudo_label = read_label(os.path.join(args.pseudo_dir, f"lbl_{j}.pgm"))
-        sampled = mixer.sample_classes(donors[i].label, rng)
-        mask = mixer.build_mask(donors[i].label, sampled)
-        pair = mixer.MixPair(donor=donors[i], acceptor=acceptor)
-        out_samples.append(mixer.mix(pair, mask))
-        sidecars.append((i, j, sorted(sampled)))
-    write_dataset(args.out_dir, "mix", out_samples)
-    for n, (i, j, classes) in enumerate(sidecars):
-        side = os.path.join(args.out_dir, "mix", f"mix_{n}.txt")
-        with open(side, "w", encoding="utf-8") as f:
-            f.write(f"donor_i = {i}\nacceptor_j = {j}\n")
-            f.write("classes = " + ",".join(str(c) for c in classes) + "\n")
+    cfg = trainer.parse_config_file(args.config)
+    source, pseudo = trainer.prepare_data(cfg, _read_train_data(args.data_root))
+    teacher = load_checkpoint(args.ckpt)
+    idx_i, idx_j, *batches = trainer.draw_batch(
+        derive_rng(cfg.seed, "sampling"), source, pseudo, cfg.batch)
+    crops = trainer.build_crops(teacher, *batches, derive_rng(cfg.seed, "step"), cfg)
+    if crops[0].mixed is None:
+        raise ArgumentError(f"{args.config}: a step of this config builds no mixed crop")
+    write_dataset(args.out_dir, "mix", [c.mixed for c in crops])
+    for n, (i, j, c) in enumerate(zip(idx_i, idx_j, crops)):
+        known = c.acceptor.label != synthdata.IGNORE
+        hits = c.acceptor.pseudo_label[known] == c.acceptor.label[known]
+        with open(os.path.join(args.out_dir, "mix", f"mix_{n}.txt"), "w", encoding="utf-8") as f:
+            f.write(f"donor_i = {i}\nacceptor_j = {j}\n"
+                    f"classes = {','.join(str(k) for k in sorted(c.classes))}\n"
+                    f"pasted_fraction = {float(c.mask.mean())!r}\n"
+                    f"pseudo_label_accuracy = {float(hits.mean()) if hits.size else 'nan'}\n")
     _write_run_manifest(
         args.out_dir, "mix",
-        {"pt_dir": args.pt_dir, "src_dir": args.src_dir, "count": args.count},
-        args.seed, started,
+        {"ckpt": args.ckpt, "config": args.config, "data_root": args.data_root},
+        cfg.seed, started,
     )
     return 0
 
@@ -114,21 +117,7 @@ def cmd_mix(args):
 def cmd_train(args):
     started = time.time()
     cfg = trainer.parse_config_file(args.config)
-    source = read_dataset(os.path.join(args.data_root, "source"))
-    pt_dir = os.path.join(args.data_root, "pt")
-    ref_path = os.path.join(args.data_root, "reference.ppm")
-    pseudo = None
-    reference = None
-    if os.path.exists(os.path.join(pt_dir, "manifest.txt")):
-        pseudo = read_dataset(pt_dir, domain_tag=DomainTag.PSEUDO_TARGET)
-    elif os.path.exists(ref_path):
-        reference = read_image(ref_path)
-    else:
-        raise ArgumentError(
-            f"{args.data_root}: need either pt/manifest.txt or reference.ppm"
-        )
-    data = trainer.TrainData(source=source, reference=reference, pseudo_target=pseudo)
-    teacher, log = trainer.train(cfg, data)
+    teacher, log = trainer.train(cfg, _read_train_data(args.data_root))
     save_checkpoint(args.out, teacher)
     with open(args.log, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -227,13 +216,11 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_stylize)
 
-    p = sub.add_parser("mix", help="emit class-mixed intermediate samples")
-    p.add_argument("--pt-dir", required=True)
-    p.add_argument("--src-dir", required=True)
-    p.add_argument("--pseudo-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("mix", help="write the class-mixed crops of a run's first step")
+    p.add_argument("--ckpt", required=True)
+    p.add_argument("--config", required=True)
+    p.add_argument("--data-root", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("train", help="run the mean-teacher training loop")
@@ -275,10 +262,7 @@ def main(argv=None):
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OssegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (OssegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,15 +31,9 @@ class MixPair:
             raise ContractError(f"acceptor must be SOURCE, got {self.acceptor.domain_tag}")
 
 
-def present_classes(label):
-    """Distinct non-ignore class ids present in a label map, sorted."""
-    values = np.unique(label)
-    return [int(v) for v in values if v != IGNORE]
-
-
 def sample_classes(label, rng):
     """Frozenset of ceil(k/2) of the k present classes, drawn uniformly without replacement."""
-    candidates = present_classes(label)
+    candidates = [int(v) for v in np.unique(label) if v != IGNORE]
     k = len(candidates)
     if k == 0:
         raise EmptyLabelError("label contains no non-ignore pixels")
@@ -50,8 +44,6 @@ def sample_classes(label, rng):
 
 def build_mask(label, classes):
     """Binary mask: 1 where the label's class is sampled, 0 elsewhere (incl. ignore)."""
-    if not classes:
-        return np.zeros(label.shape, dtype=np.uint8)
     mask = np.isin(label, sorted(classes)) & (label != IGNORE)
     return mask.astype(np.uint8)
 

@@ -48,14 +48,19 @@ class ModelConfig:
 
     def __post_init__(self):
         self.backbone_channels = tuple(int(c) for c in self.backbone_channels)
+        if len(self.backbone_channels) != 3:
+            raise ConfigurationError("backbone_channels must list exactly 3 stages")
+        sizes = (self.embed_dim, self.decoder_layers, self.heads, *self.backbone_channels)
+        if min(sizes) < 1:
+            raise ConfigurationError("embed_dim, decoder_layers, heads and backbone_channels "
+                                     f"must be >= 1, got {sizes}")
+        if not 1 <= self.num_classes < ag.IGNORE_LABEL:
+            raise ConfigurationError(f"num_classes must be in [1, {ag.IGNORE_LABEL - 1}], "
+                                     f"got {self.num_classes}")
         if self.embed_dim % self.heads != 0:
             raise ConfigurationError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
-        if self.decoder_layers < 1:
-            raise ConfigurationError("decoder_layers must be >= 1")
-        if len(self.backbone_channels) != 3:
-            raise ConfigurationError("backbone_channels must list exactly 3 stages")
 
 
 @dataclass
@@ -134,6 +139,13 @@ def _views(flat, shapes):
         views.append(flat[off:off + size].reshape(shape))
         off += size
     return views
+
+
+# A network has the trunk's and query embedding's tensors plus those of each
+# decoder layer (see `_param_shapes`). A checkpoint record of a tensor takes
+# at least a 2-byte name length, a 1-byte name, the rank, one dimension and
+# one value.
+_TRUNK_TENSORS, _LAYER_TENSORS, _MIN_RECORD_BYTES = 11, 18, 16
 
 
 def _param_shapes(cfg):
@@ -456,6 +468,10 @@ def load_checkpoint(path):
     try:
         (cfg_len,) = struct.unpack("<I", take(4))
         cfg = _parse_config_block(take(cfg_len))
+        tensors = _TRUNK_TENSORS + _LAYER_TENSORS * cfg.decoder_layers
+        if tensors * _MIN_RECORD_BYTES > len(blob) - off:
+            raise FormatError(f"checkpoint too short for the {tensors} tensors of its config",
+                              offset=off)
         expected = _param_shapes(cfg)
         (count,) = struct.unpack("<I", take(4))
         arrays = {}
@@ -477,7 +493,8 @@ def load_checkpoint(path):
             if not np.isfinite(data).all():
                 raise FormatError(f"non-finite value in checkpoint tensor {name!r}", offset=start)
             arrays[name] = data
-    except (struct.error, ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError, KeyError, UnicodeDecodeError,
+            ConfigurationError) as exc:
         raise FormatError(f"malformed checkpoint: {exc}", offset=off) from exc
     missing = [name for name in expected if name not in arrays]
     if missing:

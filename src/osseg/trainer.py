@@ -200,19 +200,56 @@ def pseudo_label(teacher, imgs, threshold=0.0):
     return preds
 
 
-def _crop(arr, top, left, size):
-    return arr[top:top + size, left:left + size]
+def _crop_window(rng, shape, size):
+    """A uniformly drawn size x size window of an image of `shape`, as a 2-D slice."""
+    top = int(rng.integers(0, shape[0] - size + 1))
+    left = int(rng.integers(0, shape[1] - size + 1))
+    return np.s_[top:top + size, left:left + size]
 
 
-def _crop_positions(rng, h, w, size):
-    top = int(rng.integers(0, h - size + 1))
-    left = int(rng.integers(0, w - size + 1))
-    return top, left
+@dataclass
+class SampleCrops:
+    """One sample's crops of a step; `mask`, `mixed` and the acceptor's pseudo-label
+    are set when the step mixes, `classes` when it samples classes."""
+
+    donor: DomainSample
+    source: np.ndarray
+    acceptor: DomainSample
+    classes: frozenset = None
+    mask: np.ndarray = None
+    mixed: DomainSample = None
 
 
-def _check_finite(value, term, step):
-    if not math.isfinite(value):
-        raise TrainingError(f"step {step}: loss term {term} is non-finite ({value})")
+def build_crops(teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
+    """One step's crops, sampled classes and class-mixed crops: a SampleCrops per sample.
+
+    Every sample's crop windows and sampled classes (when the IDR loss or
+    the pairing reads them) are drawn first, in sample order. Then, when
+    IDR or the pairing needs a mixed crop, the teacher labels the acceptor
+    crops in one pass and each mixed crop is built.
+    """
+    crops = []
+    for src_i, pt_i, src_j in zip(batch_src, batch_pt, batch_acceptor):
+        d = _crop_window(rng, src_i.label.shape, cfg.crop)
+        a = _crop_window(rng, src_j.label.shape, cfg.crop)
+        c = SampleCrops(
+            donor=DomainSample(pt_i.image[d], pt_i.label[d], DomainTag.PSEUDO_TARGET),
+            source=src_i.image[d],
+            acceptor=DomainSample(src_j.image[a], src_j.label[a], DomainTag.SOURCE),
+        )
+        if cfg.use_idr or cfg.pairing is not AttentionPairing.NONE:
+            c.classes = mixer.sample_classes(c.donor.label, rng)
+        crops.append(c)
+    if cfg.use_idr or cfg.pairing in (AttentionPairing.OURS_PT_TO_INTERMEDIATE,
+                                      AttentionPairing.VARIANT_S):
+        mix = mixer.mix_with_ground_truth if cfg.use_ground_truth_mix else mixer.mix
+        acc_pls = pseudo_label(teacher, [c.acceptor.image for c in crops],
+                               cfg.pseudo_label_threshold)
+        for c, acc_pl in zip(crops, acc_pls):
+            c.acceptor.pseudo_label = acc_pl
+            c.mask = mixer.build_mask(c.donor.label, c.classes)
+            c.mixed = mix(mixer.MixPair(c.donor, c.acceptor), c.mask)
+    return crops
 
 
 def _mean_loss(logits, labels):
@@ -233,49 +270,20 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
     drawn source sample j. `total` is `l_pt + l_idr + lambda_cd * l_cd`,
     plus `l_src` for VARIANT_ST.
 
-    Every sample's crops and sampled classes are drawn first, in sample
-    order. Then the teacher labels the acceptor crops in one pass and the
-    mixed crops are built (when IDR or the pairing needs them). One student
-    call runs over the pseudo-target crops, the mixed crops, the source
-    crops (variants only) and one cross block per sample; every loss term
-    reads its blocks' logits.
+    After `build_crops`, one student call runs over the pseudo-target
+    crops, the mixed crops, the source crops (variants only) and one cross
+    block per sample; every loss term reads its blocks' logits.
     """
     n = student.config.num_classes
-    size = cfg.crop
-    need_mix = cfg.use_idr or cfg.pairing in (
-        AttentionPairing.OURS_PT_TO_INTERMEDIATE, AttentionPairing.VARIANT_S,
-    )
-    need_src = cfg.pairing in (AttentionPairing.VARIANT_ST, AttentionPairing.VARIANT_S)
-    pt_imgs, labels, src_imgs, acc_imgs, acc_gts, sampled = [], [], [], [], [], []
-    for src_i, pt_i, src_j in zip(batch_src, batch_pt, batch_acceptor):
-        h, w = src_i.label.shape
-        dt, dl = _crop_positions(rng, h, w, size)
-        at, al = _crop_positions(rng, h, w, size)
-        pt_imgs.append(_crop(pt_i.image, dt, dl, size))
-        labels.append(_crop(pt_i.label, dt, dl, size))
-        src_imgs.append(_crop(src_i.image, dt, dl, size))
-        acc_imgs.append(_crop(src_j.image, at, al, size))
-        acc_gts.append(_crop(src_j.label, at, al, size))
-        if need_mix or cfg.pairing is not AttentionPairing.NONE:
-            sampled.append(mixer.sample_classes(labels[-1], rng))
-
-    batch = len(pt_imgs)
-    imgs, mixed_labels = list(pt_imgs), []
-    if need_mix:
-        mix = mixer.mix_with_ground_truth if cfg.use_ground_truth_mix else mixer.mix
-        acc_pls = pseudo_label(teacher, acc_imgs, cfg.pseudo_label_threshold)
-        for pt_img, y_i, acc_img, acc_gt, acc_pl, classes in zip(
-                pt_imgs, labels, acc_imgs, acc_gts, acc_pls, sampled):
-            pair = mixer.MixPair(
-                donor=DomainSample(pt_img, y_i, DomainTag.PSEUDO_TARGET),
-                acceptor=DomainSample(acc_img, acc_gt, DomainTag.SOURCE, pseudo_label=acc_pl),
-            )
-            mixed = mix(pair, mixer.build_mask(y_i, classes))
-            imgs.append(mixed.image)
-            mixed_labels.append(mixed.label)
+    crops = build_crops(teacher, batch_src, batch_pt, batch_acceptor, rng, cfg)
+    batch = len(crops)
+    labels = [c.donor.label for c in crops]
+    mixed = [c.mixed for c in crops if c.mixed is not None]
+    mixed_labels = [m.label for m in mixed]
+    imgs = [c.donor.image for c in crops] + [m.image for m in mixed]
     src_at = len(imgs)
-    if need_src:
-        imgs += src_imgs
+    if cfg.pairing in (AttentionPairing.VARIANT_ST, AttentionPairing.VARIANT_S):
+        imgs += [c.source for c in crops]
 
     # Cross entries (main, cond, bias): the mixed crops start at `batch`.
     cross, cd_labels = [], []
@@ -285,8 +293,8 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
             AttentionPairing.VARIANT_S: (batch, src_at, mixed_labels),
             AttentionPairing.VARIANT_ST: (0, src_at, labels),
         }[cfg.pairing]
-        cross = [(main_at + b, cond_at + b, build_class_bias(n, classes))
-                 for b, classes in enumerate(sampled)]
+        cross = [(main_at + b, cond_at + b, build_class_bias(n, c.classes))
+                 for b, c in enumerate(crops)]
     logits = (forward_cross(student, imgs, cross) if cross else forward(student, imgs)).logits
 
     l_pt = _mean_loss(logits[:batch], labels)
@@ -319,7 +327,9 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
             total, report = step_loss(student, teacher, batch_src, batch_pt, batch_acceptor,
                                       rng, cfg)
             for term in ("l_pt", "l_idr", "l_cd", "l_total"):
-                _check_finite(getattr(report, term), term, step)
+                value = getattr(report, term)
+                if not math.isfinite(value):
+                    raise TrainingError(f"step {step}: loss term {term} is non-finite ({value})")
             student.zero_grad()
             ag.backward(total)
             if not np.isfinite(student.grad).all():
@@ -338,11 +348,11 @@ class TrainData:
     pseudo_target: list = None
 
 
-def train(cfg, data, model_config=None):
-    """Run the full loop; returns (teacher params, per-step LossReports).
+def prepare_data(cfg, data):
+    """(source, pseudo-target) lists of one image size that a `cfg.crop` crop fits.
 
     The pseudo-target set is built on the fly from the one-shot reference
-    when not supplied. Fully deterministic given cfg.seed.
+    when `data` holds none.
     """
     if not data.source:
         raise ArgumentError("source dataset is empty")
@@ -356,27 +366,39 @@ def train(cfg, data, model_config=None):
             f"{len(pseudo)} pseudo-target samples for {len(data.source)} source samples"
         )
     h, w = data.source[0].label.shape
+    for name, samples in (("source", data.source), ("pseudo-target", pseudo)):
+        for k, sample in enumerate(samples):
+            if sample.label.shape != (h, w):
+                raise ArgumentError(f"{name} sample {k} is not {h}x{w} like source sample 0")
     if cfg.crop > min(h, w):
         raise ArgumentError(f"crop {cfg.crop} exceeds image size {h}x{w}")
+    return data.source, pseudo
 
+
+def draw_batch(sample_rng, source, pseudo, size):
+    """One step's draws: (i, j, source[i], pseudo[i], source[j]) for `size` indices each."""
+    idx_i = sample_rng.integers(0, len(source), size=size)
+    idx_j = sample_rng.integers(0, len(source), size=size)
+    return (idx_i, idx_j, [source[i] for i in idx_i], [pseudo[i] for i in idx_i],
+            [source[j] for j in idx_j])
+
+
+def train(cfg, data, model_config=None):
+    """Run the full loop; returns (teacher params, per-step LossReports).
+
+    Fully deterministic given cfg.seed: the indices of each step come from
+    `derive_rng(seed, "sampling")` (see `draw_batch`) and its crops and
+    classes from `derive_rng(seed, "step")` (see `build_crops`).
+    """
+    source, pseudo = prepare_data(cfg, data)
     model_config = model_config or ModelConfig()
     student = segmodel.init_params(model_config, seed=cfg.seed).trainable(True)
     teacher = student.copy()  # starts as an exact copy, never sees gradients
     optimizer = AdamW(student, lr=cfg.lr)
     sample_rng = derive_rng(cfg.seed, "sampling")
     step_rng = derive_rng(cfg.seed, "step")
-
-    count = len(data.source)
     log = []
     for step in range(cfg.iterations):
-        idx_i = sample_rng.integers(0, count, size=cfg.batch)
-        idx_j = sample_rng.integers(0, count, size=cfg.batch)
-        report = train_step(
-            student, teacher,
-            [data.source[i] for i in idx_i],
-            [pseudo[i] for i in idx_i],
-            [data.source[j] for j in idx_j],
-            step_rng, cfg, optimizer, step=step,
-        )
-        log.append(report)
+        _, _, *batches = draw_batch(sample_rng, source, pseudo, cfg.batch)
+        log.append(train_step(student, teacher, *batches, step_rng, cfg, optimizer, step=step))
     return teacher, log

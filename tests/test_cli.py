@@ -1,12 +1,15 @@
 import os
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from osseg import autograd as ag
-from osseg import cli, segmodel, synthdata, trainer
+from osseg import cli, mixer, segmodel, synthdata, trainer
 from osseg.autograd import Tensor
+from osseg.rng import derive_rng
 from osseg.segmodel import (
     ModelConfig,
     init_params,
@@ -115,22 +118,78 @@ class TestStylize:
         assert np.array_equal(src_lbl, pt_lbl)
 
 
+def _mixed_size_data(root, defect):
+    """A data root whose source or pseudo-target sample 2 is 16x16, the rest 64x64."""
+    samples = synthdata.generate_dataset(SceneSpec(seed=4), 2)
+    small = synthdata.generate_dataset(SceneSpec(seed=4, image_size=(16, 16)), 1)
+    synthdata.write_dataset(root / "source", "source",
+                            samples + (small if defect == "source" else samples[:1]))
+    pt = [DomainSample(s.image, s.label, DomainTag.PSEUDO_TARGET)
+          for s in samples + (small if defect == "pt" else samples[:1])]
+    synthdata.write_dataset(root / "pt", "pt", pt)
+    return root
+
+
 class TestMix:
-    def test_mix_outputs_and_sidecars(self, pipeline, tmp_path):
-        data = pipeline / "data"
-        pl = tmp_path / "pl"
-        pl.mkdir()
-        for j in range(4):
-            lbl = read_label(data / "source" / "source" / f"lbl_{j}.pgm")
-            synthdata.write_label(pl / f"lbl_{j}.pgm", lbl)
+    def _mix(self, pipeline, out, cfgfile=None):
+        return run("mix", "--ckpt", str(pipeline / "ckpt.osseg"),
+                   "--config", str(cfgfile or pipeline / "cfg.txt"),
+                   "--data-root", str(pipeline / "data"), "--out-dir", str(out))
+
+    def test_mix_outputs_and_sidecars(self, pipeline, tmp_path, monkeypatch):
         out = tmp_path / "mixed"
-        assert run("mix", "--pt-dir", str(data / "pt"), "--src-dir", str(data / "source"),
-                   "--pseudo-dir", str(pl), "--seed", "5", "--out-dir", str(out),
-                   "--count", "3") == 0
-        lines = (out / "manifest.txt").read_text().strip().splitlines()
-        assert len(lines) == 3
-        side = (out / "mix" / "mix_0.txt").read_text()
-        assert "donor_i" in side and "acceptor_j" in side and "classes" in side
+        assert self._mix(pipeline, out) == 0
+
+        # Step 0 of the run, rebuilt from the same inputs, teacher and RNG
+        # streams, recording what `step_loss` mixes and what the student sees.
+        data = pipeline / "data"
+        cfg = trainer.parse_config_file(pipeline / "cfg.txt")
+        source = synthdata.read_dataset(data / "source")
+        pt = synthdata.read_dataset(data / "pt", domain_tag=DomainTag.PSEUDO_TARGET)
+        sampling = derive_rng(cfg.seed, "sampling")
+        idx_i = sampling.integers(0, len(source), size=cfg.batch)
+        idx_j = sampling.integers(0, len(source), size=cfg.batch)
+        teacher = load_checkpoint(pipeline / "ckpt.osseg")
+        mixes, student_imgs = [], []
+        real_mix, real_cross = mixer.mix, trainer.forward_cross
+
+        def recording_mix(pair, mask):
+            mixes.append((pair, mask, real_mix(pair, mask)))
+            return mixes[-1][2]
+
+        def recording_cross(params, imgs, cross):
+            student_imgs.extend(imgs)
+            return real_cross(params, imgs, cross)
+
+        monkeypatch.setattr(mixer, "mix", recording_mix)
+        monkeypatch.setattr(trainer, "forward_cross", recording_cross)
+        trainer.step_loss(teacher.copy(), teacher, [source[i] for i in idx_i],
+                          [pt[i] for i in idx_i], [source[j] for j in idx_j],
+                          derive_rng(cfg.seed, "step"), cfg)
+
+        assert len(mixes) == cfg.batch
+        assert len((out / "manifest.txt").read_text().splitlines()) == cfg.batch
+        for n, (pair, mask, mixed) in enumerate(mixes):
+            assert np.array_equal(student_imgs[cfg.batch + n], mixed.image)
+            assert np.array_equal(read_label(out / "mix" / f"lbl_{n}.pgm"), mixed.label)
+            written = np.rint(read_image(out / "mix" / f"img_{n}.ppm") * 255.0)
+            assert np.array_equal(written, np.rint(np.clip(mixed.image, 0.0, 1.0) * 255.0))
+            known = pair.acceptor.label != synthdata.IGNORE
+            accuracy = (pair.acceptor.pseudo_label == pair.acceptor.label)[known].mean()
+            classes = sorted(np.unique(pair.donor.label[mask == 1]).tolist())
+            assert (out / "mix" / f"mix_{n}.txt").read_text() == (
+                f"donor_i = {idx_i[n]}\nacceptor_j = {idx_j[n]}\n"
+                f"classes = {','.join(map(str, classes))}\n"
+                f"pasted_fraction = {float(mask.mean())!r}\n"
+                f"pseudo_label_accuracy = {float(accuracy)!r}\n")
+
+    def test_config_without_mixed_crops_is_usage_error(self, pipeline, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("use_idr = false\npairing = none\n")
+        assert self._mix(pipeline, tmp_path / "mixed", cfgfile) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfgfile}: a step of this config builds no mixed crop\n"
+        assert not (tmp_path / "mixed").exists()
 
 
 class TestTrain:
@@ -208,6 +267,27 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: step \d+: [^\n]+\n", err), err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["train", "mix"])
+    @pytest.mark.parametrize("defect,name", [("source", "source"), ("pt", "pseudo-target")])
+    def test_mixed_image_sizes_are_usage_error(self, pipeline, tmp_path, capsys, command,
+                                               defect, name):
+        # Without the size check, seed 3 crops the 16x16 sample with a 32x32
+        # window: a `ValueError: high <= 0` traceback.
+        data = _mixed_size_data(tmp_path / "data", defect)
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("iterations = 2\ncrop = 32\nseed = 3\n")
+        out = tmp_path / "out"
+        if command == "train":
+            code = run("train", "--config", str(cfgfile), "--data-root", str(data),
+                       "--out", str(out), "--log", str(tmp_path / "l.csv"))
+        else:
+            code = run("mix", "--ckpt", str(pipeline / "ckpt.osseg"), "--config", str(cfgfile),
+                       "--data-root", str(data), "--out-dir", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name} sample 2 is not 64x64 like source sample 0\n"
+        assert not out.exists()
 
     def test_all_ignore_labels_is_data_error(self, tmp_path, capsys):
         # Every crop of an all-ignore label map has no class to sample:
@@ -306,7 +386,8 @@ class TestInfer:
                    "--out", str(tmp_path / "p.pgm")) == 1
         assert "bad checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["missing", "wrong_shape", "nan", "trailing"])
+    @pytest.mark.parametrize("defect", ["missing", "wrong_shape", "nan", "trailing",
+                                        "zero_heads"])
     def test_defective_checkpoint_exit_1(self, tmp_path, capsys, defect):
         params = init_params(ModelConfig(), seed=0)
         if defect == "missing":
@@ -319,6 +400,8 @@ class TestInfer:
         save_checkpoint(ckpt, params)
         if defect == "trailing":
             ckpt.write_bytes(ckpt.read_bytes() + b"tail")
+        elif defect == "zero_heads":
+            ckpt.write_bytes(ckpt.read_bytes().replace(b"heads=1", b"heads=0"))
         img = tmp_path / "img.ppm"
         synthdata.write_image(img, np.zeros((8, 8, 3)))
         assert run("infer", "--ckpt", str(ckpt), "--image", str(img),
@@ -386,3 +469,21 @@ class TestGradcheckCommand:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run() == 2
+
+
+class TestReadme:
+    def test_every_osseg_command_parses(self):
+        # Catches flags the README names that the parser no longer has.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        lines = [line.strip() for block in blocks
+                 for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line, comments=True) for line in lines
+                    if line.startswith("osseg ")]
+        assert len(commands) >= 9
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")

@@ -1,6 +1,7 @@
 """Fuzz tests of the input parsers: every byte string loads or raises OssegError."""
 
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from osseg.errors import OssegError
+from osseg.segmodel import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from osseg.synthdata import read_image, read_label
 from osseg.trainer import TrainConfig, _CONFIG_PARSERS, parse_config_file
 
@@ -103,3 +105,38 @@ def test_parse_config_file_loads_or_raises_osseg_error(lines):
         assert isinstance(cfg, TrainConfig)
     finally:
         os.unlink(path)
+
+
+def _small_checkpoint():
+    params = init_params(ModelConfig(num_classes=2, embed_dim=2, decoder_layers=1,
+                                     backbone_channels=(1, 1, 1)), seed=0)
+    fd, path = tempfile.mkstemp(suffix=".osseg")
+    os.close(fd)
+    try:
+        save_checkpoint(path, params)
+        with open(path, "rb") as f:
+            return f.read()
+    finally:
+        os.unlink(path)
+
+
+_CHECKPOINT = _small_checkpoint()
+_CONFIG_END = 10 + struct.unpack("<I", _CHECKPOINT[6:10])[0]
+
+
+@st.composite
+def _crafted_config(draw):
+    """The small checkpoint with one value of its config block replaced."""
+    lines = _CHECKPOINT[10:_CONFIG_END].splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    value = draw(st.sampled_from([b"0", b"-3", b"1", b"2", b"300", b"99999999999", b"1,1",
+                                  b"1,1,1,1", b"x", b""]))
+    lines[k] = lines[k].partition(b"=")[0] + b"=" + value
+    block = b"\n".join(lines) + b"\n"
+    return _CHECKPOINT[:6] + struct.pack("<I", len(block)) + block + _CHECKPOINT[_CONFIG_END:]
+
+
+@FUZZ
+@given(st.one_of(_mutated(_CHECKPOINT), _crafted_config()))
+def test_load_checkpoint_loads_or_raises_osseg_error(blob):
+    _loads_or_osseg_error(lambda path: load_checkpoint(path).flat, blob)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from osseg import autograd as ag
+from osseg import segmodel
 from osseg.autograd import Tensor, cross_entropy_pixelwise
 from osseg.errors import (
     ArgumentError,
@@ -494,6 +495,38 @@ class TestCheckpoint:
         assert loaded.names() == params.names()
         for name in params.names():
             assert np.array_equal(loaded[name].data, params[name].data)
+
+    @pytest.mark.parametrize("old,new", [
+        (b"heads=1", b"heads=0"),
+        (b"heads=1", b"heads=-2"),
+        (b"decoder_layers=2", b"decoder_layers=-3"),
+        (b"decoder_layers=2", b"decoder_layers=0"),
+        (b"decoder_layers=2", b"decoder_layers=999999999999"),
+        (b"num_classes=3", b"num_classes=0"),
+        (b"num_classes=3", b"num_classes=300"),
+        (b"embed_dim=8", b"embed_dim=0"),
+        (b"backbone_channels=2,4,8", b"backbone_channels=2,0,8"),
+        (b"backbone_channels=2,4,8", b"backbone_channels=2,4"),
+    ])
+    def test_crafted_config_block_rejected(self, tmp_path, old, new):
+        params = init_params(TINY, seed=2)
+        path = tmp_path / "model.osseg"
+        save_checkpoint(path, params)
+        blob = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", blob[6:10])
+        cfg_blob = blob[10:10 + cfg_len]
+        assert old in cfg_blob
+        cfg_blob = cfg_blob.replace(old, new)
+        path.write_bytes(blob[:6] + struct.pack("<I", len(cfg_blob)) + cfg_blob
+                         + blob[10 + cfg_len:])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_tensor_count_matches_the_network(self):
+        for layers in (1, 2, 5):
+            cfg = ModelConfig(decoder_layers=layers)
+            assert len(segmodel._param_shapes(cfg)) == (
+                segmodel._TRUNK_TENSORS + segmodel._LAYER_TENSORS * layers)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.osseg"
