@@ -380,18 +380,33 @@ def forward_cross(params, imgs, cross):
     return _forward(params, imgs, cross)
 
 
-def predict(params, img):
-    """Per-pixel argmax class map (ties break to the lowest class id).
+def label_maps(params, imgs, threshold=0.0):
+    """Per-pixel argmax class map of each of a list of equal-size images.
 
-    Finite parameters can still overflow on some input. That is checked
-    once, on the logits, rather than warned about per op: NumericError if
-    any logit is non-finite.
+    One `forward` pass labels the whole list, and each map is that of a
+    pass over its image alone. Ties break to the lowest class id. With a
+    `threshold` above 0, pixels whose softmax confidence is below it
+    become IGNORE. Finite parameters can still overflow on some input.
+    That is checked once, on the logits, rather than warned about per op:
+    NumericError if any logit is non-finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward(params, [img]).logits[0].data
-    if not np.isfinite(logits).all():
-        raise NumericError("non-finite logits: the parameters overflow on this image")
-    return logits.argmax(axis=0).astype(np.uint8)
+        logits = [x.data for x in forward(params, imgs).logits]
+    maps = []
+    for x in logits:
+        if not np.isfinite(x).all():
+            raise NumericError("non-finite logits: the parameters overflow on this image")
+        pred = x.argmax(axis=0).astype(np.uint8)
+        if threshold > 0.0:
+            shifted = np.exp(x - x.max(axis=0, keepdims=True))
+            pred[shifted.max(axis=0) / shifted.sum(axis=0) < threshold] = ag.IGNORE_LABEL
+        maps.append(pred)
+    return maps
+
+
+def predict(params, img):
+    """The `label_maps` class map of one image."""
+    return label_maps(params, [img])[0]
 
 
 # --- checkpoint I/O ---------------------------------------------------------

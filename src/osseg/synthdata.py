@@ -288,8 +288,8 @@ def read_dataset(root, num_classes=None, domain_tag=DomainTag.SOURCE):
     """Load every img/lbl pair listed in <root>/manifest.txt.
 
     Each non-blank manifest line is `<image path>\t<label path>`, relative
-    to `root`. A line without the tab, or a pair whose sizes differ, raises
-    FormatError naming manifest.txt and the line.
+    to `root`. A line without the tab, a path that cannot be read, or a pair
+    whose sizes differ, raises FormatError naming manifest.txt and the line.
     """
     manifest = os.path.join(root, "manifest.txt")
     if not os.path.exists(manifest):
@@ -307,8 +307,13 @@ def read_dataset(root, num_classes=None, domain_tag=DomainTag.SOURCE):
             img_rel, tab, lbl_rel = line.partition("\t")
             if not tab:
                 raise FormatError(f"{where}: expected <image>TAB<label>, got {line!r}")
-            image = read_image(os.path.join(root, img_rel))
-            label = read_label(os.path.join(root, lbl_rel), num_classes)
+            if "\0" in line:
+                raise FormatError(f"{where}: NUL byte in a path")
+            try:
+                image = read_image(os.path.join(root, img_rel))
+                label = read_label(os.path.join(root, lbl_rel), num_classes)
+            except OSError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
             if image.shape[:2] != label.shape:
                 raise FormatError(
                     f"{where}: image {image.shape[:2]} and label {label.shape} sizes differ"

@@ -26,7 +26,7 @@ from .autograd import Tensor, cross_entropy_pixelwise
 from .errors import ArgumentError, NumericError, TrainingError
 from .rng import derive_rng
 from .segmodel import ModelConfig, build_class_bias, forward, forward_cross
-from .synthdata import IGNORE, DomainSample, DomainTag
+from .synthdata import DomainSample, DomainTag
 
 _BOOL_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
@@ -182,22 +182,12 @@ def ema_update(teacher, student, alpha):
 
 
 def pseudo_label(teacher, imgs, threshold=0.0):
-    """Teacher argmax per pixel of each image; low-confidence pixels become IGNORE.
+    """The teacher's `segmodel.label_maps` of a list of crops, in one pass.
 
-    One teacher pass labels the whole list. Ties break to the lowest class
-    id. No gradients flow: the teacher's tensors are constants, so the
-    forward pass records no graph.
+    Low-confidence pixels become IGNORE. No gradients flow: the teacher's
+    tensors are constants, so the forward pass records no graph.
     """
-    preds = []
-    for logits in forward(teacher, imgs).logits:
-        logits = logits.data
-        pred = logits.argmax(axis=0).astype(np.uint8)
-        if threshold > 0.0:
-            shifted = np.exp(logits - logits.max(axis=0, keepdims=True))
-            maxp = shifted.max(axis=0) / shifted.sum(axis=0)
-            pred[maxp < threshold] = IGNORE
-        preds.append(pred)
-    return preds
+    return segmodel.label_maps(teacher, imgs, threshold)
 
 
 def _crop_window(rng, shape, size):
@@ -209,8 +199,9 @@ def _crop_window(rng, shape, size):
 
 @dataclass
 class SampleCrops:
-    """One sample's crops of a step; `mask`, `mixed` and the acceptor's pseudo-label
-    are set when the step mixes, `classes` when it samples classes."""
+    """One sample's crops of a step; `mask` and `mixed` are set when the step mixes,
+    the acceptor's pseudo-label when it mixes with pseudo-labels, `classes`
+    when it samples classes."""
 
     donor: DomainSample
     source: np.ndarray
@@ -225,8 +216,9 @@ def build_crops(teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
 
     Every sample's crop windows and sampled classes (when the IDR loss or
     the pairing reads them) are drawn first, in sample order. Then, when
-    IDR or the pairing needs a mixed crop, the teacher labels the acceptor
-    crops in one pass and each mixed crop is built.
+    IDR or the pairing needs a mixed crop, each mixed crop is built. Unless
+    the mix takes the acceptor's ground truth (`use_ground_truth_mix`), the
+    teacher first labels the acceptor crops in one pass.
     """
     crops = []
     for src_i, pt_i, src_j in zip(batch_src, batch_pt, batch_acceptor):
@@ -242,11 +234,15 @@ def build_crops(teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
         crops.append(c)
     if cfg.use_idr or cfg.pairing in (AttentionPairing.OURS_PT_TO_INTERMEDIATE,
                                       AttentionPairing.VARIANT_S):
-        mix = mixer.mix_with_ground_truth if cfg.use_ground_truth_mix else mixer.mix
-        acc_pls = pseudo_label(teacher, [c.acceptor.image for c in crops],
-                               cfg.pseudo_label_threshold)
-        for c, acc_pl in zip(crops, acc_pls):
-            c.acceptor.pseudo_label = acc_pl
+        if cfg.use_ground_truth_mix:
+            mix = mixer.mix_with_ground_truth
+        else:
+            mix = mixer.mix
+            acc_pls = pseudo_label(teacher, [c.acceptor.image for c in crops],
+                                   cfg.pseudo_label_threshold)
+            for c, acc_pl in zip(crops, acc_pls):
+                c.acceptor.pseudo_label = acc_pl
+        for c in crops:
             c.mask = mixer.build_mask(c.donor.label, c.classes)
             c.mixed = mix(mixer.MixPair(c.donor, c.acceptor), c.mask)
     return crops

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from osseg import autograd as ag
-from osseg import cli, mixer, segmodel, synthdata, trainer
+from osseg import cli, evalmetrics, mixer, segmodel, synthdata, trainer
 from osseg.autograd import Tensor
 from osseg.rng import derive_rng
 from osseg.segmodel import (
@@ -183,6 +183,14 @@ class TestMix:
                 f"pasted_fraction = {float(mask.mean())!r}\n"
                 f"pseudo_label_accuracy = {float(accuracy)!r}\n")
 
+    def test_ground_truth_mix_has_no_pseudo_label_accuracy(self, pipeline, tmp_path):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text((pipeline / "cfg.txt").read_text() + "use_ground_truth_mix = true\n")
+        assert self._mix(pipeline, tmp_path / "mixed", cfgfile) == 0
+        for n in range(2):
+            text = (tmp_path / "mixed" / "mix" / f"mix_{n}.txt").read_text()
+            assert text.endswith("\npseudo_label_accuracy = nan\n")
+
     def test_config_without_mixed_crops_is_usage_error(self, pipeline, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"
         cfgfile.write_text("use_idr = false\npairing = none\n")
@@ -318,6 +326,55 @@ class TestEval:
         assert lines[5].startswith("miou,")
         assert lines[6].startswith("miou_subset,")
 
+    def test_chunks_label_like_per_image_predict(self, pipeline):
+        # 41 images of 64x64: 20 chunks of 2 and one of 1, then all at once.
+        params = load_checkpoint(pipeline / "ckpt.osseg")
+        rng = np.random.default_rng(40)
+        samples = [DomainSample(rng.random((64, 64, 3)), np.zeros((64, 64), np.uint8),
+                                DomainTag.TARGET) for _ in range(41)]
+        chunks = list(cli._chunks(samples))
+        assert [len(c) for c in chunks] == [2] * 20 + [1]
+        want = [segmodel.predict(params, s.image) for s in samples]
+        chunked = [m for c in chunks for m in segmodel.label_maps(params, [s.image for s in c])]
+        at_once = segmodel.label_maps(params, [s.image for s in samples])
+        for got_chunked, got_at_once, pred in zip(chunked, at_once, want):
+            assert np.array_equal(got_chunked, pred) and np.array_equal(got_at_once, pred)
+
+    def test_chunks_split_at_size_changes_and_the_pixel_limit(self):
+        assert cli.EVAL_CHUNK_PIXELS == 2 * 64 * 64
+        sizes = [64] * 5 + [32] * 9 + [64] + [128] * 2
+        samples = [DomainSample(np.zeros((s, s, 3)), np.zeros((s, s), np.uint8),
+                                DomainTag.TARGET) for s in sizes]
+        chunks = list(cli._chunks(samples))
+        assert [(c[0].label.shape[0], len(c)) for c in chunks] == [
+            (64, 2), (64, 2), (64, 1), (32, 8), (32, 1), (64, 1), (128, 1), (128, 1)]
+        assert list(cli._chunks([])) == []
+
+    def test_mixed_sizes_match_per_image_predict(self, pipeline, tmp_path):
+        data = tmp_path / "targets"
+        samples = [s for size in (64, 32, 64) for s in synthdata.generate_dataset(
+            SceneSpec(palette=synthdata.TARGET_PALETTE, seed=size, image_size=(size, size)), 3)]
+        synthdata.write_dataset(data, "target", samples)
+        report = tmp_path / "report.csv"
+        assert run("eval", "--ckpt", str(pipeline / "ckpt.osseg"), "--data-root", str(data),
+                   "--out", str(report)) == 0
+        params = load_checkpoint(pipeline / "ckpt.osseg")
+        cm = evalmetrics.ConfusionMatrix(5)
+        for sample in synthdata.read_dataset(data, num_classes=5):
+            evalmetrics.accumulate(cm, segmodel.predict(params, sample.image), sample.label)
+        want = evalmetrics.iou_report(cm)
+        rows = [line.split(",") for line in report.read_text().splitlines()]
+        assert rows[:5] == [[str(c), "" if v is None else repr(v)]
+                            for c, v in enumerate(want.per_class)]
+        assert rows[5] == ["miou", repr(want.miou)]
+
+    def test_empty_manifest_is_usage_error(self, pipeline, tmp_path, capsys):
+        (tmp_path / "manifest.txt").write_text("")
+        assert run("eval", "--ckpt", str(pipeline / "ckpt.osseg"), "--data-root",
+                   str(tmp_path), "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: manifest.txt lists no samples\n"
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("subset", ["a", "0,,1", "1.5"])
     def test_non_integer_subset_is_usage_error(self, tmp_path, capsys, subset):
@@ -376,6 +433,28 @@ class TestInfer:
         assert a.read_bytes() == b.read_bytes()
         color = read_image(tmp_path / "a.ppm")
         assert color.shape[:2] == pred.shape
+
+    def test_color_out_beyond_the_palette(self, tmp_path):
+        # An 8-class network; ids 5-7 have no scene colour.
+        ckpt = tmp_path / "c8.osseg"
+        save_checkpoint(ckpt, init_params(ModelConfig(num_classes=8), seed=2))
+        img = tmp_path / "img.ppm"
+        synthdata.write_image(img, np.random.default_rng(8).random((64, 64, 3)))
+        assert run("infer", "--ckpt", str(ckpt), "--image", str(img),
+                   "--out", str(tmp_path / "p.pgm"), "--color-out", str(tmp_path / "p.ppm")) == 0
+        pred = read_label(tmp_path / "p.pgm", num_classes=8)
+        color = np.rint(read_image(tmp_path / "p.ppm") * 255).astype(int)
+        ids = np.unique(pred)
+        assert ids.max() >= 5
+        colors = {tuple(color[pred == k][0]) for k in ids}
+        assert len(colors) == len(ids)
+        for k in ids:
+            assert (color[pred == k] == color[pred == k][0]).all()
+
+    def test_every_class_id_has_its_own_color(self):
+        colors = np.rint(cli._label_colors(254) * 255)
+        assert len({tuple(c) for c in colors}) == 254
+        assert np.array_equal(cli._label_colors(5), np.asarray(synthdata.SOURCE_PALETTE))
 
     def test_bad_checkpoint_exit_1(self, tmp_path, capsys):
         junk = tmp_path / "junk.osseg"

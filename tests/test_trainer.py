@@ -319,6 +319,17 @@ class TestTrain:
         # Same pseudo-target pipeline and same crops: l_pt streams identical.
         assert log_a[0].l_pt == log_b[0].l_pt
 
+    @pytest.mark.parametrize("gt_mix,calls", [(False, 3), (True, 0)])
+    def test_teacher_labels_only_for_a_pseudo_label_mix(self, monkeypatch, gt_mix, calls):
+        count = []
+        real = trainer.pseudo_label
+        monkeypatch.setattr(trainer, "pseudo_label",
+                            lambda *args: count.append(1) or real(*args))
+        train(quick_cfg(iterations=3, use_ground_truth_mix=gt_mix,
+                        pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE),
+              small_data(), model_config=TINY_MODEL)
+        assert len(count) == calls
+
     def test_loss_decreases_over_200_steps(self):
         cfg = TrainConfig(iterations=200, batch=2, crop=16, seed=9, lr=1e-3,
                           pairing=AttentionPairing.NONE)
