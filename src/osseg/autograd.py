@@ -254,7 +254,23 @@ def softmax_lastdim(x):
     return _node(out, (x,), bw)
 
 
-def block_attention(q, k, v, keys, key_rows, bias=None, scale=None):
+def _split_heads(a, heads):
+    """(B, rows, heads*d) -> (B*heads, rows, d): each block's channel groups as blocks."""
+    if heads == 1:
+        return a
+    b, rows, c = a.shape
+    return a.reshape(b, rows, heads, c // heads).transpose(0, 2, 1, 3).reshape(b * heads, rows, -1)
+
+
+def _join_heads(a, heads):
+    """The inverse of `_split_heads`: (B*heads, rows, d) -> (B, rows, heads*d)."""
+    if heads == 1:
+        return a
+    b, rows, d = a.shape[0] // heads, a.shape[1], a.shape[2]
+    return a.reshape(b, heads, rows, d).transpose(0, 2, 1, 3).reshape(b, rows, heads * d)
+
+
+def block_attention(q, k, v, keys, key_rows, bias=None, scale=None, heads=1):
     """Attention of query blocks on key/value blocks, as one op.
 
     q holds len(keys) blocks of N rows each; k and v hold blocks of
@@ -263,7 +279,10 @@ def block_attention(q, k, v, keys, key_rows, bias=None, scale=None):
     `bias` is an optional constant (blocks, N, key_rows) additive bias and
     `scale` an optional factor on the logits. The softmax follows
     `softmax_lastdim`: entries at or below MASK_THRESHOLD get zero weight,
-    a fully masked row outputs zero and a NaN raises NumericError.
+    a fully masked row outputs zero and a NaN raises NumericError. With
+    `heads` > 1, the channels of q, k and v split into that many equal
+    groups that attend as blocks of their own, all with the same bias, and
+    the outputs join back in group order.
 
     All blocks go through stacked 3-D matmuls, so the cost is linear in the
     number of blocks. A key block read by several query blocks sums their
@@ -274,35 +293,38 @@ def block_attention(q, k, v, keys, key_rows, bias=None, scale=None):
     blocks = keys.size
     fits = (q.data.ndim == k.data.ndim == v.data.ndim == 2 and blocks > 0
             and q.shape[0] % blocks == 0 and k.shape[1] == q.shape[1]
-            and v.shape[0] == k.shape[0] and key_rows >= 1 and k.shape[0] % key_rows == 0)
+            and v.shape[0] == k.shape[0] and key_rows >= 1 and k.shape[0] % key_rows == 0
+            and heads >= 1 and q.shape[1] % heads == 0 and v.shape[1] % heads == 0)
     key_blocks = k.shape[0] // key_rows if fits else 0
     own = fits and blocks == key_blocks and (keys == np.arange(blocks)).all()
     if not (own or fits and keys.min() >= 0 and keys.max() < key_blocks):
         raise DimensionError(
             f"block_attention: queries {tuple(q.shape)}, keys {tuple(k.shape)} and values "
-            f"{tuple(v.shape)} do not split into blocks {keys.tolist()} of {key_rows} key rows"
+            f"{tuple(v.shape)} do not split into blocks {keys.tolist()} of {key_rows} key rows "
+            f"and {heads} heads"
         )
     n = q.shape[0] // blocks
-    qb = q.data.reshape(blocks, n, -1)
+    qb = _split_heads(q.data.reshape(blocks, n, -1), heads)
     kb = k.data.reshape(key_blocks, key_rows, -1)
     vb = v.data.reshape(key_blocks, key_rows, -1)
     if not own:
         kb, vb = kb[keys], vb[keys]
+    kb, vb = _split_heads(kb, heads), _split_heads(vb, heads)
     logits = qb @ kb.transpose(0, 2, 1)
     if scale is not None:
         logits *= scale
     if bias is not None:
         bias = _as_tensor(bias).data
-        if bias.shape != logits.shape:
-            raise DimensionError(
-                f"attention bias shape {tuple(bias.shape)} does not match logits {logits.shape}"
-            )
-        logits += bias
+        if bias.shape != (blocks, n, key_rows):
+            raise DimensionError(f"attention bias shape {tuple(bias.shape)} does not match "
+                                 f"logits {(blocks, n, key_rows)}")
+        logits += bias if heads == 1 else np.repeat(bias, heads, axis=0)
     weights = _masked_softmax(logits)
-    out = (weights @ vb).reshape(q.shape[0], v.shape[1])
+    out = _join_heads(weights @ vb, heads).reshape(q.shape[0], v.shape[1])
 
     def key_sums(per_block, shape):
         """Per key block, the sum of the query blocks' `per_block` entries."""
+        per_block = _join_heads(per_block, heads)
         if own:
             return per_block.reshape(shape)
         scatter = np.zeros((key_blocks, blocks))
@@ -310,11 +332,11 @@ def block_attention(q, k, v, keys, key_rows, bias=None, scale=None):
         return (scatter @ per_block.reshape(blocks, -1)).reshape(shape)
 
     def bw(g):
-        gb = g.reshape(blocks, n, -1)
+        gb = _split_heads(g.reshape(blocks, n, -1), heads)
         gl = _softmax_backward(weights, gb @ vb.transpose(0, 2, 1))
         if scale is not None:
             gl *= scale
-        _accumulate(q, (gl @ kb).reshape(q.shape))
+        _accumulate(q, _join_heads(gl @ kb, heads).reshape(q.shape))
         _accumulate(k, key_sums(gl.transpose(0, 2, 1) @ qb, k.shape))
         _accumulate(v, key_sums(weights.transpose(0, 2, 1) @ gb, v.shape))
 

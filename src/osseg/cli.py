@@ -117,7 +117,10 @@ def cmd_mix(args):
 def cmd_train(args):
     started = time.time()
     cfg = trainer.parse_config_file(args.config)
-    teacher, log = trainer.train(cfg, _read_train_data(args.data_root))
+    data = _read_train_data(args.data_root)
+    for path in (args.out, args.log):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    teacher, log = trainer.train(cfg, data)
     save_checkpoint(args.out, teacher)
     with open(args.log, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -169,6 +172,8 @@ def cmd_eval(args):
     data = read_dataset(args.data_root, num_classes=n, domain_tag=DomainTag.TARGET)
     if not data:
         raise ArgumentError(f"{args.data_root}: manifest.txt lists no samples")
+    if all((s.label == synthdata.IGNORE).all() for s in data):
+        raise ArgumentError(f"{args.data_root}: every label pixel is {synthdata.IGNORE} (ignore)")
     total = evalmetrics.ConfusionMatrix(n)
     for chunk in _chunks(data):
         for sample, pred in zip(chunk, label_maps(params, [s.image for s in chunk])):

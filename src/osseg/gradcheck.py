@@ -88,9 +88,9 @@ def _op_checks(rng):
         ("ops.reshape", lambda: check_op(lambda a: ag.reshape(a, (2, 6)), [(3, 4)], rng)),
         ("ops.relu", lambda: check_op(ag.relu, [(4, 4)], rng)),
         ("ops.softmax", lambda: check_op(ag.softmax_lastdim, [(4, 5)], rng)),
-        ("ops.attention", lambda: check_op(
-            lambda q, k, v: ag.block_attention(q, k, v, [1, 0, 1], 3, attn_bias, 0.5),
-            [(6, 4), (6, 4), (6, 3)], rng)),
+        ("ops.attention", lambda: max(check_op(
+            lambda q, k, v: ag.block_attention(q, k, v, [1, 0, 1], 3, attn_bias, 0.5, heads),
+            [(6, 4), (6, 4), (6, 4)], rng) for heads in (1, 2))),
         ("ops.layernorm", lambda: check_op(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], rng)),
         ("ops.conv2d", lambda: check_op(
             lambda x, w: ag.conv2d(x, w, stride=1, pad=1), [(2, 5, 5), (3, 2, 3, 3)], rng)),

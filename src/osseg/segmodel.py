@@ -11,10 +11,11 @@ embeddings first, at a fraction of the cost.
 A pass takes a list of equal-size images. The backbone and pixel decoder
 run per image; the transformer decoder runs once, over blocks of N class
 tokens stacked as rows: one block per image and, in the cross-domain pass,
-one more per cross entry. Every attention step is the one op
+one more per cross entry. Every attention step is one call of the op
 `autograd.block_attention`, in which each query block attends only to its
 own key block, so the cost is linear in the number of blocks and every
-image's logits are those of a pass over it alone. Among the class tokens
+image's logits are those of a pass over it alone. With several heads the
+op splits the channels into equal groups itself. Among the class tokens
 attention is self-attention, or, for a cross block, takes its queries from
 another (conditioning) block and adds an N x N class bias that removes
 every row and column indexed by a sampled class; with no class sampled it
@@ -25,7 +26,7 @@ output, so the residual connection carries those tokens through unchanged.
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,7 +73,6 @@ class ForwardTrace:
     [b*N, (b+1)*N) of `e_class`, and `logits[b]` is its output.
     """
 
-    f_img: list  # per image, backbone features: (C_3, H/8, W/8)
     e_pixel: list  # per image, pixel embeddings at half resolution: (C_e, H/2, W/2)
     e_class: Tensor  # final tokens, one row per class and block: ((S+C)*N, C_e)
     logits: list  # per block, its class rows @ its image's e_pixel upsampled 2x: (N, H, W)
@@ -208,28 +208,6 @@ def build_class_bias(num_classes, sampled_classes):
     return Tensor(m)
 
 
-def _multihead(q, k, v, heads, scaled, keys, key_rows, bias=None):
-    """`ag.block_attention` per head over equal channel groups, joined along channels.
-
-    Head h reads channels [h*d, (h+1)*d) through a constant 0/1 selection
-    matrix and writes them back through its transpose, so the split and the
-    join copy values exactly. `scaled` divides the logits by sqrt(d).
-    """
-    d = q.shape[-1] // heads
-    scale = 1.0 / math.sqrt(d) if scaled else None
-    if heads == 1:
-        return ag.block_attention(q, k, v, keys, key_rows, bias, scale)
-    eye = np.eye(q.shape[-1])
-    out = None
-    for h in range(heads):
-        pick = Tensor(eye[:, h * d:(h + 1) * d])
-        head = ag.block_attention(ag.matmul(q, pick), ag.matmul(k, pick), ag.matmul(v, pick),
-                                  keys, key_rows, bias, scale)
-        part = ag.matmul(head, Tensor(eye[h * d:(h + 1) * d]))
-        out = part if out is None else ag.add(out, part)
-    return out
-
-
 def _check_image(img):
     arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
@@ -245,12 +223,11 @@ def _backbone_and_pixels(params, arr):
     for stage in range(3):
         conv = ag.conv2d(x, params[f"backbone.{stage}.w"], stride=2, pad=1)
         x = ag.relu(ag.add(conv, params[f"backbone.{stage}.b"]))
-    f_img = x
-    y = ag.bilinear_upsample2x(f_img)
+    y = ag.bilinear_upsample2x(x)
     y = ag.relu(ag.add(ag.conv2d(y, params["pixdec.0.w"], stride=1, pad=1), params["pixdec.0.b"]))
     y = ag.bilinear_upsample2x(y)
     e_pixel = ag.relu(ag.add(ag.conv2d(y, params["pixdec.1.w"], stride=1, pad=1), params["pixdec.1.b"]))
-    return f_img, e_pixel
+    return x, e_pixel
 
 
 def _add_norm(params, name, tokens, contrib):
@@ -258,10 +235,10 @@ def _add_norm(params, name, tokens, contrib):
     return ag.layernorm_lastdim(ag.add(tokens, contrib), params[name + ".g"], params[name + ".b"])
 
 
-def _decoder(params, f_imgs, cross, token_attention=True):
+def _decoder(params, features, cross):
     """Run the transformer decoder once over the blocks of a pass.
 
-    Block b < S = len(f_imgs) belongs to image b; block S + c to cross
+    Block b < S = len(features) belongs to image b; block S + c to cross
     entry c = (main, cond, bias). Each block's N class tokens are stacked
     as rows, ((S+C)*N, C_e), and the S image memories, flattened to
     (H/8 * W/8, C_3) each, likewise, so image keys and values are computed
@@ -269,14 +246,14 @@ def _decoder(params, f_imgs, cross, token_attention=True):
     a cross block `main`'s. Token attention runs within each block; a cross
     block takes its queries from block `cond`'s own token-attention query
     of the same layer, through a constant 0/1 pick, and adds its class
-    bias. Without `token_attention` that sublayer contributes zero.
-    Returns the final tokens.
+    bias. Returns the final tokens.
     """
     cfg = params.config
-    n, images = cfg.num_classes, len(f_imgs)
+    n, images = cfg.num_classes, len(features)
     blocks = images + len(cross)
-    c3, rows, cols = f_imgs[0].shape
-    memory = ag.concat_rows([ag.transpose(ag.reshape(f, (c3, rows * cols))) for f in f_imgs])
+    c3, rows, cols = features[0].shape
+    scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.heads) if cfg.scaled_attention else None
+    memory = ag.concat_rows([ag.transpose(ag.reshape(f, (c3, rows * cols))) for f in features])
     img_keys = list(range(images)) + [main for main, _, _ in cross]
     pick = bias = None
     if cross:
@@ -290,35 +267,29 @@ def _decoder(params, f_imgs, cross, token_attention=True):
         k_img = ag.matmul(memory, params[p + "ca.wk"])
         v_img = ag.matmul(memory, params[p + "ca.wv"])
         q = ag.matmul(tokens, params[p + "ca.wq"])
-        attn = _multihead(q, k_img, v_img, cfg.heads, cfg.scaled_attention,
-                          img_keys, rows * cols)
+        attn = ag.block_attention(q, k_img, v_img, img_keys, rows * cols, None, scale, cfg.heads)
         tokens = _add_norm(params, p + "ln1", tokens, ag.matmul(attn, params[p + "ca.wo"]))
-        if token_attention:
-            q = ag.matmul(tokens, params[p + "sa.wq"])
-            if pick is not None:
-                q = ag.matmul(pick, q)
-            k = ag.matmul(tokens, params[p + "sa.wk"])
-            v = ag.matmul(tokens, params[p + "sa.wv"])
-            attn = _multihead(q, k, v, cfg.heads, cfg.scaled_attention, range(blocks), n, bias)
-            tokens = _add_norm(params, p + "ln2", tokens, ag.matmul(attn, params[p + "sa.wo"]))
-        else:
-            tokens = ag.layernorm_lastdim(tokens, params[p + "ln2.g"], params[p + "ln2.b"])
+        q = ag.matmul(tokens, params[p + "sa.wq"])
+        if pick is not None:
+            q = ag.matmul(pick, q)
+        k = ag.matmul(tokens, params[p + "sa.wk"])
+        v = ag.matmul(tokens, params[p + "sa.wv"])
+        attn = ag.block_attention(q, k, v, range(blocks), n, bias, scale, cfg.heads)
+        tokens = _add_norm(params, p + "ln2", tokens, ag.matmul(attn, params[p + "sa.wo"]))
         h = ag.relu(ag.add(ag.matmul(tokens, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
         h = ag.add(ag.matmul(h, params[p + "ffn.w2"]), params[p + "ffn.b2"])
         tokens = _add_norm(params, p + "ln3", tokens, h)
     return tokens
 
 
-def _forward(params, imgs, cross, token_attention=True):
+def _forward(params, imgs, cross):
     arrs = [_check_image(img) for img in imgs]
     if not arrs or any(arr.shape != arrs[0].shape for arr in arrs):
         raise DimensionError(
             f"a forward pass takes one or more equal-size images, got {[a.shape for a in arrs]}"
         )
-    trunk = [_backbone_and_pixels(params, arr) for arr in arrs]
-    f_imgs = [f for f, _ in trunk]
-    e_pixels = [e for _, e in trunk]
-    e_class = _decoder(params, f_imgs, cross, token_attention)
+    features, e_pixels = zip(*[_backbone_and_pixels(params, arr) for arr in arrs])
+    e_class = _decoder(params, features, cross)
     # Each block's logits: its class rows times its image's pixel embeddings.
     n = params.config.num_classes
     owners = list(range(len(arrs))) + [main for main, _, _ in cross]
@@ -331,7 +302,7 @@ def _forward(params, imgs, cross, token_attention=True):
         ce, h, w = e_pixels[owner].shape
         out = ag.matmul(e_rows, ag.reshape(e_pixels[owner], (ce, h * w)))
         logits.append(ag.bilinear_upsample2x(ag.reshape(out, (n, h, w))))
-    return ForwardTrace(f_imgs, e_pixels, e_class, logits)
+    return ForwardTrace(list(e_pixels), e_class, logits)
 
 
 def forward(params, imgs):
@@ -341,16 +312,6 @@ def forward(params, imgs):
     self-attention among each image's class tokens.
     """
     return _forward(params, imgs, [])
-
-
-def forward_identity_token_attention(params, imgs):
-    """Reference path: the token-attention sublayer contributes zero.
-
-    Tokens pass through sublayer (b) via the residual connection alone;
-    everything else matches `forward`. Used to verify the fully-masked
-    class-aware attention behavior.
-    """
-    return _forward(params, imgs, [], token_attention=False)
 
 
 def forward_cross(params, imgs, cross):
@@ -412,30 +373,24 @@ def predict(params, img):
 # --- checkpoint I/O ---------------------------------------------------------
 
 def _config_block(cfg):
-    lines = [
-        f"num_classes={cfg.num_classes}",
-        f"embed_dim={cfg.embed_dim}",
-        f"decoder_layers={cfg.decoder_layers}",
-        f"heads={cfg.heads}",
-        "backbone_channels=" + ",".join(str(c) for c in cfg.backbone_channels),
-        f"scaled_attention={int(cfg.scaled_attention)}",
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """One `name=value` line per ModelConfig field, in field order: ints as
+    ints, the tuple comma-joined, the bool as 0/1."""
+    text = ""
+    for f in fields(ModelConfig):
+        value = getattr(cfg, f.name)
+        text += f"{f.name}={','.join(map(str, value)) if f.type is tuple else int(value)}\n"
+    return text.encode("utf-8")
 
 
 def _parse_config_block(blob):
-    fields = {}
+    """Inverse of `_config_block` (ModelConfig makes the tuple's parts ints);
+    lines that name no field are skipped."""
+    values = {}
     for line in blob.decode("utf-8").splitlines():
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    return ModelConfig(
-        num_classes=int(fields["num_classes"]),
-        embed_dim=int(fields["embed_dim"]),
-        decoder_layers=int(fields["decoder_layers"]),
-        heads=int(fields["heads"]),
-        backbone_channels=tuple(int(c) for c in fields["backbone_channels"].split(",")),
-        scaled_attention=bool(int(fields["scaled_attention"])),
-    )
+        values[key.strip()] = value.strip()
+    return ModelConfig(**{f.name: values[f.name].split(",") if f.type is tuple
+                          else f.type(int(values[f.name])) for f in fields(ModelConfig)})
 
 
 def save_checkpoint(path, params):
@@ -503,8 +458,7 @@ def load_checkpoint(path):
                     f"checkpoint tensor {name!r} of shape {shape} does not match the config "
                     f"({expected.get(name, 'no such tensor')})", offset=start,
                 )
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
+            data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             if not np.isfinite(data).all():
                 raise FormatError(f"non-finite value in checkpoint tensor {name!r}", offset=start)
             arrays[name] = data

@@ -15,7 +15,7 @@ logits.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -85,19 +85,13 @@ class TrainConfig:
             raise ArgumentError(f"crop must be a positive multiple of 8, got {self.crop}")
 
 
-_CONFIG_PARSERS = {
-    "lambda_cd": float, "ema_alpha": float, "lr": float,
-    "iterations": int, "batch": int, "crop": int, "seed": int,
-    "pseudo_label_threshold": float,
-    "use_ground_truth_mix": lambda s: _BOOL_VALUES[s.lower()],
-    "use_idr": lambda s: _BOOL_VALUES[s.lower()],
-    "pairing": AttentionPairing,
-}
+_CONFIG_PARSERS = {f.name: (lambda s: _BOOL_VALUES[s.lower()]) if f.type is bool else f.type
+                   for f in fields(TrainConfig)}
 
 
 def parse_config_file(path):
     """UTF-8 `key = value` lines, each naming a TrainConfig field at most once."""
-    fields = {}
+    values = {}
     with open(path, "rb") as f:
         for ln, raw in enumerate(f, start=1):
             try:
@@ -110,13 +104,13 @@ def parse_config_file(path):
             key, value = key.strip(), value.strip()
             if not sep or key not in _CONFIG_PARSERS:
                 raise ArgumentError(f"{path}:{ln}: unknown config line {line!r}")
-            if key in fields:
+            if key in values:
                 raise ArgumentError(f"{path}:{ln}: {key} is set twice")
             try:
-                fields[key] = _CONFIG_PARSERS[key](value)
+                values[key] = _CONFIG_PARSERS[key](value)
             except (ValueError, KeyError) as exc:
                 raise ArgumentError(f"{path}:{ln}: bad value for {key}: {value!r}") from exc
-    return TrainConfig(**fields)
+    return TrainConfig(**values)
 
 
 @dataclass

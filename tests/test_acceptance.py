@@ -17,7 +17,6 @@ from osseg.segmodel import (
     build_class_bias,
     forward,
     forward_cross,
-    forward_identity_token_attention,
     init_params,
     load_checkpoint,
     predict,
@@ -131,7 +130,12 @@ def test_criterion_4_cacda_masking():
     img_pt = rng.random((8, 8, 3))
     cross = forward_cross(params, [img_m, img_pt],
                           [(0, 1, build_class_bias(n, set(range(n))))]).logits[2].data
-    reference = forward_identity_token_attention(params, [img_m]).logits[0].data
+    # The reference pass: every token-attention output projection at 0, so
+    # the tokens pass that sublayer on the residual connection alone.
+    silent = params.copy()
+    for layer in range(model.decoder_layers):
+        silent[f"dec.{layer}.sa.wo"].data[:] = 0.0
+    reference = forward(silent, [img_m]).logits[0].data
     residual_err = np.abs(cross - reference).max()
     ok = masking_ok and reduces and residual_err < 1e-9
     _report(4, ok, f"all 32 subsets, identity-residual err {residual_err:.1e}")

@@ -127,6 +127,16 @@ class TestBlockAttention:
         check_op_gradient(lambda q, k, v: ag.block_attention(q, k, v, [0, 0, 1], 3, bias),
                           [(6, 4), (6, 4), (6, 2)], seed=6)
 
+    @pytest.mark.parametrize("heads, channels", [
+        (0, 4),  # no head
+        (3, 4),  # 4 query and key channels do not split into 3 heads
+        (2, 3),  # 4 query and key channels split, 3 value channels do not
+    ])
+    def test_head_count_errors(self, heads, channels):
+        t = Tensor(np.ones((4, 4)))
+        with pytest.raises(DimensionError):
+            ag.block_attention(t, t, Tensor(np.ones((4, channels))), [0, 1], 2, heads=heads)
+
 
 class TestConv2d:
     def test_ones_times_two(self):

@@ -297,6 +297,37 @@ class TestTrain:
         assert err == f"error: {name} sample 2 is not 64x64 like source sample 0\n"
         assert not out.exists()
 
+    def test_out_and_log_parents_are_created(self, pipeline, tmp_path):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("iterations = 1\n")
+        ckpt = tmp_path / "run" / "a" / "ckpt.osseg"
+        log = tmp_path / "logs" / "b" / "train.csv"
+        assert run("train", "--config", str(cfgfile), "--data-root", str(pipeline / "data"),
+                   "--out", str(ckpt), "--log", str(log)) == 0
+        assert load_checkpoint(ckpt).config == ModelConfig()
+        assert len(log.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("blocked", ["out", "log"])
+    def test_file_in_the_way_fails_before_training(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch, blocked):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("iterations = 1\n")
+        (tmp_path / "file").write_text("")
+        ckpt, log = tmp_path / "ckpt.osseg", tmp_path / "train.csv"
+        if blocked == "out":
+            ckpt = tmp_path / "file" / "sub" / "ckpt.osseg"
+        else:
+            log = tmp_path / "file" / "train.csv"
+        assert run("train", "--config", str(cfgfile), "--data-root", str(pipeline / "data"),
+                   "--out", str(ckpt), "--log", str(log)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not ckpt.exists() and not log.exists()
+
     def test_all_ignore_labels_is_data_error(self, tmp_path, capsys):
         # Every crop of an all-ignore label map has no class to sample:
         # a fault in the data (exit 1), not in the command line (exit 2).
@@ -374,6 +405,21 @@ class TestEval:
                    str(tmp_path), "--out", str(tmp_path / "r.csv")) == 2
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path}: manifest.txt lists no samples\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_all_ignore_labels_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(cli, "label_maps", no_forward)
+        samples = synthdata.generate_dataset(SceneSpec(seed=5), 3)
+        for sample in samples:
+            sample.label[:] = synthdata.IGNORE
+        synthdata.write_dataset(tmp_path, "target", samples)
+        assert run("eval", "--ckpt", str(pipeline / "ckpt.osseg"), "--data-root",
+                   str(tmp_path), "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: every label pixel is 255 (ignore)\n"
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("subset", ["a", "0,,1", "1.5"])

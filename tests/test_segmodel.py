@@ -16,11 +16,9 @@ from osseg.errors import (
 from osseg.gradcheck import fd_gradient, rel_error
 from osseg.segmodel import (
     ModelConfig,
-    _multihead,
     build_class_bias,
     forward,
     forward_cross,
-    forward_identity_token_attention,
     init_params,
     load_checkpoint,
     predict,
@@ -39,10 +37,15 @@ def rand_img(rng, size=8):
     return rng.random((size, size, 3))
 
 
-def attention(q, k, v, scaled=False, bias=None):
-    """One query block on one key block, with an optional N x M bias Tensor."""
-    return _multihead(q, k, v, 1, scaled, [0], k.shape[0],
-                      None if bias is None else bias.data[None])
+def attention(q, k, v, scaled=False, bias=None, heads=1):
+    """One query block on one key block, with an optional N x M bias Tensor.
+
+    `scaled` divides the logits by the square root of a head's width, as a
+    `scaled_attention` network does.
+    """
+    scale = 1.0 / np.sqrt(q.shape[1] // heads) if scaled else None
+    return ag.block_attention(q, k, v, [0], k.shape[0],
+                              None if bias is None else bias.data[None], scale, heads)
 
 
 def assert_grads_match_fd(params, loss_of, names):
@@ -227,7 +230,7 @@ class TestForward:
         out = forward(permuted, [img]).logits[0].data
         assert np.allclose(out, base[perm], atol=1e-12)
 
-    def test_multihead_runs(self):
+    def test_two_heads_run(self):
         cfg = ModelConfig(num_classes=3, embed_dim=8, decoder_layers=1, heads=2,
                           backbone_channels=(2, 4, 8))
         trace = forward(init_params(cfg, seed=1), [rand_img(np.random.default_rng(14))])
@@ -275,8 +278,7 @@ class TestMultihead:
         rng = np.random.default_rng(24)
         q, k, v = (rng.standard_normal((3, 8)) for _ in range(3))
         bias = None if sampled is None else build_class_bias(3, sampled)
-        bias = None if bias is None else bias.data[None]
-        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, scaled, [0], 3, bias)
+        out = attention(Tensor(q), Tensor(k), Tensor(v), scaled, bias, heads=2)
         assert np.allclose(out.data, self._reference(q, k, v, 2, scaled, sampled),
                            rtol=0.0, atol=1e-12)
 
@@ -285,7 +287,7 @@ class TestMultihead:
         rng = np.random.default_rng(25)
         q = rng.standard_normal((3, 8))
         k, v = rng.standard_normal((6, 8)), rng.standard_normal((6, 8))
-        out = _multihead(Tensor(q), Tensor(k), Tensor(v), 2, False, [0], 6)
+        out = attention(Tensor(q), Tensor(k), Tensor(v), heads=2)
         assert np.allclose(out.data, self._reference(q, k, v, 2, False, None),
                            rtol=0.0, atol=1e-12)
 
@@ -320,7 +322,12 @@ class TestForwardCross:
         cross = forward_cross(
             params, [img_m, img_pt], [(0, 1, build_class_bias(3, {0, 1, 2}))],
         ).logits[2].data
-        reference = forward_identity_token_attention(params, [img_m]).logits[0].data
+        # With every token-attention output projection at 0, a plain pass
+        # leaves the tokens to the residual connection, as full masking does.
+        silent = params.copy()
+        for layer in range(TINY.decoder_layers):
+            silent[f"dec.{layer}.sa.wo"].data[:] = 0.0
+        reference = forward(silent, [img_m]).logits[0].data
         assert np.abs(cross - reference).max() < 1e-9
 
     def test_distinct_branches_differ_from_plain_forward(self):
@@ -476,6 +483,18 @@ class TestCheckpoint:
             assert np.array_equal(loaded[name].data, params[name].data)
         save_checkpoint(tmp_path / "again.osseg", loaded)
         assert (tmp_path / "model.osseg").read_bytes() == (tmp_path / "again.osseg").read_bytes()
+
+    @pytest.mark.parametrize("config,block", [
+        (ModelConfig(), b"num_classes=5\nembed_dim=32\ndecoder_layers=2\nheads=1\n"
+                        b"backbone_channels=8,16,32\nscaled_attention=0\n"),
+        (ModelConfig(heads=2, scaled_attention=True),
+         b"num_classes=5\nembed_dim=32\ndecoder_layers=2\nheads=2\n"
+         b"backbone_channels=8,16,32\nscaled_attention=1\n"),
+    ])
+    def test_config_block_bytes(self, config, block):
+        # Checkpoints written before hold these bytes; they must still load.
+        assert segmodel._config_block(config) == block
+        assert segmodel._parse_config_block(block) == config
 
     def test_attention_pairing_line_is_skipped(self, tmp_path):
         # Checkpoints written while the model config recorded the trainer's
