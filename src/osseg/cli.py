@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 import argparse
 import csv
+import errno
 import os
 import sys
 import time
@@ -31,8 +32,8 @@ from .synthdata import (
 )
 
 
-def _write_run_manifest(out_dir, command, config, seed, started):
-    os.makedirs(out_dir, exist_ok=True)
+def _write_run_manifest(path, command, config, seed, started):
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     lines = [
         f"command = {command}",
         f"seed = {seed}",
@@ -40,7 +41,7 @@ def _write_run_manifest(out_dir, command, config, seed, started):
         f"wall_time_s = {time.time() - started:.3f}",
     ]
     lines += [f"{k} = {v}" for k, v in sorted(config.items())]
-    with open(os.path.join(out_dir, "run_manifest.txt"), "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -53,7 +54,7 @@ def cmd_gen_data(args):
     samples = synthdata.generate_dataset(spec, args.count)
     write_dataset(args.out, args.domain, samples)
     _write_run_manifest(
-        args.out, "gen-data",
+        os.path.join(args.out, "run_manifest.txt"), "gen-data",
         {"domain": args.domain, "count": args.count, "size": args.size},
         args.seed, started,
     )
@@ -68,7 +69,7 @@ def cmd_stylize(args):
     styled = styletransfer.build_pseudo_target(data, reference, cfg)
     write_dataset(args.out_dir, "pt", styled)
     _write_run_manifest(
-        args.out_dir, "stylize",
+        os.path.join(args.out_dir, "run_manifest.txt"), "stylize",
         {"src_dir": args.src_dir, "reference": args.reference, "beta": args.beta},
         0, started,
     )
@@ -107,7 +108,7 @@ def cmd_mix(args):
                     f"pasted_fraction = {float(c.mask.mean())!r}\n"
                     f"pseudo_label_accuracy = {float(hits.mean()) if hits.size else 'nan'}\n")
     _write_run_manifest(
-        args.out_dir, "mix",
+        os.path.join(args.out_dir, "run_manifest.txt"), "mix",
         {"ckpt": args.ckpt, "config": args.config, "data_root": args.data_root},
         cfg.seed, started,
     )
@@ -119,6 +120,8 @@ def cmd_train(args):
     cfg = trainer.parse_config_file(args.config)
     data = _read_train_data(args.data_root)
     for path in (args.out, args.log):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     teacher, log = trainer.train(cfg, data)
     save_checkpoint(args.out, teacher)
@@ -129,7 +132,7 @@ def cmd_train(args):
             writer.writerow([step, repr(rep.l_pt), repr(rep.l_idr),
                              repr(rep.l_cd), repr(rep.l_total)])
     _write_run_manifest(
-        os.path.dirname(os.path.abspath(args.out)), "train",
+        f"{args.out}.manifest.txt", "train",
         {"config": args.config, "data_root": args.data_root,
          "iterations": cfg.iterations, "pairing": cfg.pairing.value},
         cfg.seed, started,
@@ -186,7 +189,7 @@ def cmd_eval(args):
         writer.writerow(["miou", repr(report.miou)])
         writer.writerow(["miou_subset", repr(report.miou_subset)])
     _write_run_manifest(
-        os.path.dirname(os.path.abspath(args.out)), "eval",
+        f"{args.out}.manifest.txt", "eval",
         {"ckpt": args.ckpt, "data_root": args.data_root, "subset": args.subset},
         0, started,
     )
@@ -210,7 +213,7 @@ def cmd_infer(args):
     if args.color_out:
         write_image(args.color_out, _label_colors(params.config.num_classes)[pred])
     _write_run_manifest(
-        os.path.dirname(os.path.abspath(args.out)), "infer",
+        f"{args.out}.manifest.txt", "infer",
         {"ckpt": args.ckpt, "image": args.image},
         0, started,
     )

@@ -24,12 +24,13 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-def tree_bytes(root, skip=("run_manifest.txt",)):
-    """Map of relative path -> file bytes, skipping the wall-time manifest."""
+def tree_bytes(root):
+    """Map of relative path -> file bytes, skipping the wall-time run manifests:
+    `run_manifest.txt` and `<out>.manifest.txt`."""
     out = {}
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
-            if name in skip:
+            if name == "run_manifest.txt" or name.endswith(".manifest.txt"):
                 continue
             path = os.path.join(dirpath, name)
             with open(path, "rb") as f:
@@ -328,6 +329,26 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not ckpt.exists() and not log.exists()
 
+    @pytest.mark.parametrize("blocked", ["out", "log"])
+    def test_directory_in_the_way_fails_before_training(self, pipeline, tmp_path, capsys,
+                                                        monkeypatch, blocked):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trainer.train ran")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("iterations = 1\n")
+        (tmp_path / "dir").mkdir()
+        paths = {"out": tmp_path / "ckpt.osseg", "log": tmp_path / "train.csv"}
+        paths[blocked] = tmp_path / "dir"
+        assert run("train", "--config", str(cfgfile), "--data-root", str(pipeline / "data"),
+                   "--out", str(paths["out"]), "--log", str(paths["log"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and str(tmp_path / "dir") in err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "dir"]
+        assert os.listdir(tmp_path / "dir") == []
+
     def test_all_ignore_labels_is_data_error(self, tmp_path, capsys):
         # Every crop of an all-ignore label map has no class to sample:
         # a fault in the data (exit 1), not in the command line (exit 2).
@@ -594,6 +615,28 @@ class TestGradcheckCommand:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run() == 2
+
+
+class TestRunManifests:
+    def test_train_eval_infer_into_one_directory_keep_three_manifests(self, pipeline,
+                                                                       tmp_path):
+        # README's layout: all three commands write into run/.
+        data, out = pipeline / "data", tmp_path / "run"
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("iterations = 1\n")
+        ckpt = str(out / "ckpt.osseg")
+        assert run("train", "--config", str(cfgfile), "--data-root", str(data),
+                   "--out", ckpt, "--log", str(out / "train.csv")) == 0
+        assert run("eval", "--ckpt", ckpt, "--data-root", str(data / "targets"),
+                   "--out", str(out / "report.csv")) == 0
+        assert run("infer", "--ckpt", ckpt, "--image", str(data / "reference.ppm"),
+                   "--out", str(out / "pred.pgm")) == 0
+        manifests = {"ckpt.osseg.manifest.txt": "train",
+                     "report.csv.manifest.txt": "eval",
+                     "pred.pgm.manifest.txt": "infer"}
+        assert sorted(p.name for p in out.glob("*manifest*")) == sorted(manifests)
+        for name, command in manifests.items():
+            assert (out / name).read_text().startswith(f"command = {command}\n")
 
 
 class TestReadme:

@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from osseg import cli, styletransfer
 from osseg.errors import ArgumentError, DimensionError, NumericError
 from osseg.styletransfer import FdaConfig, _window_bounds, build_pseudo_target, fda_stylize, swap_mask
 from osseg.synthdata import DomainSample, DomainTag, SceneSpec, TARGET_PALETTE, generate_dataset, generate_sample
@@ -16,6 +21,34 @@ def dft2_direct(img):
             phase = np.exp(-2j * np.pi * (u * ys[:, None] / h + v * xs[None, :] / w))
             out[u, v] = (img * phase).sum()
     return out
+
+
+def fda_full_fft(src, reference, beta):
+    """The amplitude swap on full FFTs: the formula `fda_stylize` computes on the window only."""
+    h, w = src.shape[:2]
+    if reference.shape[:2] != (h, w):
+        reference = styletransfer._resize_bilinear(reference, h, w)
+    window = swap_mask(h, w, beta)
+    if not window.any():
+        return src.copy()
+    out = np.empty_like(src)
+    for ch in range(3):
+        f_src = np.fft.fftshift(np.fft.fft2(src[:, :, ch]))
+        f_ref = np.fft.fftshift(np.fft.fft2(reference[:, :, ch]))
+        amp = np.abs(f_src)
+        amp[window] = np.abs(f_ref)[window]
+        mixed = amp * np.exp(1j * np.angle(f_src))
+        out[:, :, ch] = np.real(np.fft.ifft2(np.fft.ifftshift(mixed)))
+    return np.clip(out, 0.0, 1.0)
+
+
+def textured(rng, h, w):
+    """A smooth pattern plus noise with values in [0.1, 0.9]. Its window bins are seldom
+    near 0, where the phase, and so the swap, is set by rounding."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    freq = rng.uniform(0.1, 1.0, size=(2, 3))
+    base = 0.5 + 0.2 * np.sin(ys[..., None] * freq[0] + xs[..., None] * freq[1])
+    return base + rng.uniform(-0.2, 0.2, size=(h, w, 3))
 
 
 class TestConfig:
@@ -137,6 +170,29 @@ class TestFdaStylize:
         assert np.array_equal(a, b)
 
 
+class TestWindowOnlyDft:
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), ref_h=st.integers(1, 40),
+           ref_w=st.integers(1, 40), beta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_fft_swap(self, h, w, ref_h, ref_w, beta, seed):
+        rng = np.random.default_rng(seed)
+        src, ref = textured(rng, h, w), textured(rng, ref_h, ref_w)
+        out = fda_stylize(src, ref, FdaConfig(beta=beta))
+        assert out.shape == src.shape
+        assert np.abs(out - fda_full_fft(src, ref, beta)).max() <= 1e-12
+
+    def test_makes_no_fft_call(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("an FFT ran")
+
+        for name in ("fft2", "ifft2", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, no_fft)
+        rng = np.random.default_rng(2)
+        data = [DomainSample(textured(rng, 16, 16), np.zeros((16, 16), np.uint8),
+                             DomainTag.SOURCE) for _ in range(2)]
+        assert len(build_pseudo_target(data, textured(rng, 16, 16), FdaConfig(beta=0.3))) == 2
+
+
 class TestBuildPseudoTarget:
     def test_empty_dataset(self):
         assert build_pseudo_target([], np.zeros((8, 8, 3))) == []
@@ -168,3 +224,42 @@ class TestBuildPseudoTarget:
         styled_mean = np.mean([s.image.mean() for s in styled])
         ref_mean = ref.mean()
         assert abs(styled_mean - ref_mean) < abs(src_mean - ref_mean)
+
+    def test_equals_fda_stylize_per_sample_and_resizes_once_per_size(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        sizes = [(16, 16), (24, 8), (16, 16), (9, 13), (24, 8), (16, 16)]
+        data = [DomainSample(textured(rng, h, w), np.zeros((h, w), np.uint8), DomainTag.SOURCE)
+                for h, w in sizes]
+        ref = textured(rng, 20, 20)
+        cfg = FdaConfig(beta=0.2)
+        expect = [fda_stylize(s.image, ref, cfg) for s in data]
+        resized = []
+        resize = styletransfer._resize_bilinear
+        monkeypatch.setattr(styletransfer, "_resize_bilinear",
+                            lambda img, h, w: resized.append((h, w)) or resize(img, h, w))
+        out = build_pseudo_target(data, ref, cfg)
+        assert all(np.array_equal(a, b.image) for a, b in zip(expect, out))
+        assert sorted(resized) == sorted(set(sizes))
+
+
+class TestStylizeRasters:
+    # SHA-256 of the PPMs `osseg stylize` writes for three generated 64x64
+    # scenes, taken from the full-FFT implementation; the window-only DFT
+    # must leave these 8-bit pseudo-target rasters unchanged.
+    GOLDEN = [
+        "9a325f2af0696c0438c923d3381cea0bc7cb410c7cd21d93f0390d38de362ca6",
+        "c65aa4d00ed6a3f133e5dfe4168d5ac5bfceefa7fdc61f309954a8f8c22cf4d9",
+        "d86ea5dbf2672a0d4e9e2a3db3a8c7aa1d0a8c05e494f09371916e8c2fc8f5c6",
+    ]
+
+    def test_stylized_rasters_match_golden_hashes(self, tmp_path):
+        assert cli.main(["gen-data", "--domain", "source", "--count", "3", "--seed", "21",
+                         "--out", str(tmp_path / "source")]) == 0
+        assert cli.main(["gen-data", "--domain", "target", "--count", "1", "--seed", "22",
+                         "--out", str(tmp_path / "ref")]) == 0
+        assert cli.main(["stylize", "--src-dir", str(tmp_path / "source"),
+                         "--reference", str(tmp_path / "ref" / "target" / "img_0.ppm"),
+                         "--out-dir", str(tmp_path / "pt")]) == 0
+        digests = [hashlib.sha256((tmp_path / "pt" / "pt" / f"img_{n}.ppm").read_bytes()).hexdigest()
+                   for n in range(3)]
+        assert digests == self.GOLDEN
