@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 import argparse
 import csv
+import dataclasses
 import errno
+import hashlib
 import os
 import sys
 import time
@@ -16,7 +18,6 @@ import numpy as np
 from . import __version__
 from . import evalmetrics, gradcheck, styletransfer, synthdata, trainer
 from .errors import ArgumentError, OssegError
-from .rng import derive_rng
 from .segmodel import label_maps, load_checkpoint, predict, save_checkpoint
 from .synthdata import (
     SOURCE_PALETTE,
@@ -32,48 +33,20 @@ from .synthdata import (
 )
 
 
-def _write_run_manifest(path, command, config, seed, started):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    lines = [
-        f"command = {command}",
-        f"seed = {seed}",
-        f"build = osseg-{__version__}",
-        f"wall_time_s = {time.time() - started:.3f}",
-    ]
-    lines += [f"{k} = {v}" for k, v in sorted(config.items())]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def cmd_gen_data(args):
-    started = time.time()
     palette, layout = {"source": (SOURCE_PALETTE, LayoutMode.OPEN_FIELD),
                        "target": (TARGET_PALETTE, LayoutMode.DENSE_CITY)}[args.domain]
     spec = SceneSpec(palette=palette, layout_mode=layout, seed=args.seed,
                      image_size=(args.size, args.size))
-    samples = synthdata.generate_dataset(spec, args.count)
-    write_dataset(args.out, args.domain, samples)
-    _write_run_manifest(
-        os.path.join(args.out, "run_manifest.txt"), "gen-data",
-        {"domain": args.domain, "count": args.count, "size": args.size},
-        args.seed, started,
-    )
-    return 0
+    write_dataset(args.out, args.domain, synthdata.generate_dataset(spec, args.count))
 
 
 def cmd_stylize(args):
-    started = time.time()
     data = read_dataset(args.src_dir)
     reference = read_image(args.reference)
     cfg = styletransfer.FdaConfig(beta=args.beta)
     styled = styletransfer.build_pseudo_target(data, reference, cfg)
     write_dataset(args.out_dir, "pt", styled)
-    _write_run_manifest(
-        os.path.join(args.out_dir, "run_manifest.txt"), "stylize",
-        {"src_dir": args.src_dir, "reference": args.reference, "beta": args.beta},
-        0, started,
-    )
-    return 0
 
 
 def _read_train_data(root):
@@ -89,13 +62,11 @@ def _read_train_data(root):
 
 
 def cmd_mix(args):
-    started = time.time()
     cfg = trainer.parse_config_file(args.config)
     source, pseudo = trainer.prepare_data(cfg, _read_train_data(args.data_root))
     teacher = load_checkpoint(args.ckpt)
-    idx_i, idx_j, *batches = trainer.draw_batch(
-        derive_rng(cfg.seed, "sampling"), source, pseudo, cfg.batch)
-    crops = trainer.build_crops(teacher, *batches, derive_rng(cfg.seed, "step"), cfg)
+    idx_i, idx_j, *batches, rng = next(trainer.step_draws(cfg, source, pseudo))
+    crops = trainer.build_crops(teacher, *batches, rng, cfg)
     if crops[0].mixed is None:
         raise ArgumentError(f"{args.config}: a step of this config builds no mixed crop")
     write_dataset(args.out_dir, "mix", [c.mixed for c in crops])
@@ -107,23 +78,12 @@ def cmd_mix(args):
                     f"classes = {','.join(str(k) for k in sorted(c.classes))}\n"
                     f"pasted_fraction = {float(c.mask.mean())!r}\n"
                     f"pseudo_label_accuracy = {float(hits.mean()) if hits.size else 'nan'}\n")
-    _write_run_manifest(
-        os.path.join(args.out_dir, "run_manifest.txt"), "mix",
-        {"ckpt": args.ckpt, "config": args.config, "data_root": args.data_root},
-        cfg.seed, started,
-    )
-    return 0
+    return {"seed": cfg.seed}
 
 
 def cmd_train(args):
-    started = time.time()
     cfg = trainer.parse_config_file(args.config)
-    data = _read_train_data(args.data_root)
-    for path in (args.out, args.log):
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    teacher, log = trainer.train(cfg, data)
+    teacher, log = trainer.train(cfg, _read_train_data(args.data_root))
     save_checkpoint(args.out, teacher)
     with open(args.log, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
@@ -131,13 +91,8 @@ def cmd_train(args):
         for step, rep in enumerate(log):
             writer.writerow([step, repr(rep.l_pt), repr(rep.l_idr),
                              repr(rep.l_cd), repr(rep.l_total)])
-    _write_run_manifest(
-        f"{args.out}.manifest.txt", "train",
-        {"config": args.config, "data_root": args.data_root,
-         "iterations": cfg.iterations, "pairing": cfg.pairing.value},
-        cfg.seed, started,
-    )
-    return 0
+    return {**dataclasses.asdict(cfg), "pairing": cfg.pairing.value,
+            **dataclasses.asdict(teacher.config)}
 
 
 # `osseg eval` runs one forward pass per chunk of at most this many pixels,
@@ -163,7 +118,6 @@ def _chunks(samples):
 
 
 def cmd_eval(args):
-    started = time.time()
     try:
         subset = [int(c) for c in args.subset.split(",")] if args.subset else []
     except ValueError as exc:
@@ -188,12 +142,6 @@ def cmd_eval(args):
             writer.writerow([c, "" if iou is None else repr(iou)])
         writer.writerow(["miou", repr(report.miou)])
         writer.writerow(["miou_subset", repr(report.miou_subset)])
-    _write_run_manifest(
-        f"{args.out}.manifest.txt", "eval",
-        {"ckpt": args.ckpt, "data_root": args.data_root, "subset": args.subset},
-        0, started,
-    )
-    return 0
 
 
 def _label_colors(num_classes):
@@ -205,19 +153,12 @@ def _label_colors(num_classes):
 
 
 def cmd_infer(args):
-    started = time.time()
     params = load_checkpoint(args.ckpt)
     image = read_image(args.image)
     pred = predict(params, image)
     write_label(args.out, pred)
     if args.color_out:
         write_image(args.color_out, _label_colors(params.config.num_classes)[pred])
-    _write_run_manifest(
-        f"{args.out}.manifest.txt", "infer",
-        {"ckpt": args.ckpt, "image": args.image},
-        0, started,
-    )
-    return 0
 
 
 def cmd_gradcheck(args):
@@ -229,8 +170,57 @@ def cmd_gradcheck(args):
         if not ok:
             failed.append(name)
     if failed:
-        print("failed groups: " + ", ".join(failed))
-        return 1
+        raise OssegError("failed groups: " + ", ".join(failed))
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _run(args):
+    """Run a subcommand between one check of its paths and its one manifest.
+
+    Its subparser names the path arguments it `reads` and `writes` (files,
+    or directories if `dirs`); an unset one is skipped. Before any work, two
+    paths with one `os.path.realpath` are a usage error, a file output that
+    is a directory fails, and the outputs' parents are made. The manifest,
+    named after the first output, lists the parsed arguments, the settings
+    dict the command returns and the SHA-256 of each path that is a file.
+    """
+    paths = {dest: getattr(args, dest) for dest in args.reads + args.writes
+             if getattr(args, dest)}
+    seen = {}
+    for dest, path in paths.items():
+        other = seen.setdefault(os.path.realpath(path), dest)
+        if other != dest:
+            raise ArgumentError(f"{_flag(other)} and {_flag(dest)} name the same path {path}")
+    outputs = [paths[dest] for dest in args.writes if dest in paths]
+    for path in outputs:
+        if not args.dirs and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for path in outputs:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    started = time.time()
+    settings = args.func(args) or {}
+    if not outputs:
+        return 0
+    fields = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "reads", "writes", "dirs")}
+    fields.update(settings)
+    fields.update({f"sha256.{dest}": _sha256(path) for dest, path in paths.items()
+                   if os.path.isfile(path)})
+    lines = [f"command = {args.command}", f"build = osseg-{__version__}",
+             f"wall_time_s = {time.time() - started:.3f}"]
+    lines += [f"{k} = {v}" for k, v in sorted(fields.items())]
+    manifest = (os.path.join(outputs[0], "run_manifest.txt") if args.dirs
+                else f"{outputs[0]}.manifest.txt")
+    with open(manifest, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -247,46 +237,48 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_gen_data, reads=(), writes=("out",), dirs=True)
 
     p = sub.add_parser("stylize", help="build the pseudo-target domain")
     p.add_argument("--src-dir", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--beta", type=float, default=styletransfer.DEFAULT_BETA)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_stylize)
+    p.set_defaults(func=cmd_stylize, reads=("src_dir", "reference"), writes=("out_dir",), dirs=True)
 
     p = sub.add_parser("mix", help="write the class-mixed crops of a run's first step")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--data-root", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_mix)
+    p.set_defaults(func=cmd_mix, reads=("ckpt", "config", "data_root"), writes=("out_dir",),
+                   dirs=True)
 
     p = sub.add_parser("train", help="run the mean-teacher training loop")
     p.add_argument("--config", required=True)
     p.add_argument("--data-root", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, reads=("config", "data_root"), writes=("out", "log"), dirs=False)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data-root", required=True)
     p.add_argument("--subset", default="")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, reads=("ckpt", "data_root"), writes=("out",), dirs=False)
 
     p = sub.add_parser("infer", help="predict a label map for one image")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--color-out", default=None)
-    p.set_defaults(func=cmd_infer)
+    p.set_defaults(func=cmd_infer, reads=("ckpt", "image"), writes=("out", "color_out"),
+                   dirs=False)
 
     p = sub.add_parser("gradcheck", help="finite-difference self-check")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, reads=(), writes=(), dirs=False)
 
     return parser
 
@@ -298,7 +290,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        return _run(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

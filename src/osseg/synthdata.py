@@ -18,10 +18,9 @@ from enum import Enum
 
 import numpy as np
 
+from .autograd import IGNORE_LABEL as IGNORE
 from .errors import ArgumentError, FormatError, ValidationError
 from .rng import derive_rng
-
-IGNORE = 255
 
 SKY, GROUND, BUILDING, VEHICLE, VEGETATION = 0, 1, 2, 3, 4
 

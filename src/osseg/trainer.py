@@ -365,30 +365,36 @@ def prepare_data(cfg, data):
     return data.source, pseudo
 
 
-def draw_batch(sample_rng, source, pseudo, size):
-    """One step's draws: (i, j, source[i], pseudo[i], source[j]) for `size` indices each."""
-    idx_i = sample_rng.integers(0, len(source), size=size)
-    idx_j = sample_rng.integers(0, len(source), size=size)
-    return (idx_i, idx_j, [source[i] for i in idx_i], [pseudo[i] for i in idx_i],
-            [source[j] for j in idx_j])
+def step_draws(cfg, source, pseudo):
+    """Each step's (i, j, source[i], pseudo[i], source[j], rng) of a run, without end.
+
+    A step draws `cfg.batch` indices i, then j, from the seed's `sampling`
+    stream; `rng` is its one `step` stream, which every step's `build_crops`
+    draws its crops and classes from in turn.
+    """
+    sample_rng = derive_rng(cfg.seed, "sampling")
+    step_rng = derive_rng(cfg.seed, "step")
+    while True:
+        idx_i = sample_rng.integers(0, len(source), size=cfg.batch)
+        idx_j = sample_rng.integers(0, len(source), size=cfg.batch)
+        yield (idx_i, idx_j, [source[i] for i in idx_i], [pseudo[i] for i in idx_i],
+               [source[j] for j in idx_j], step_rng)
 
 
 def train(cfg, data, model_config=None):
     """Run the full loop; returns (teacher params, per-step LossReports).
 
-    Fully deterministic given cfg.seed: the indices of each step come from
-    `derive_rng(seed, "sampling")` (see `draw_batch`) and its crops and
-    classes from `derive_rng(seed, "step")` (see `build_crops`).
+    Fully deterministic given cfg.seed: each step takes its samples, crops
+    and classes from `step_draws`.
     """
     source, pseudo = prepare_data(cfg, data)
     model_config = model_config or ModelConfig()
     student = segmodel.init_params(model_config, seed=cfg.seed).trainable(True)
     teacher = student.copy()  # starts as an exact copy, never sees gradients
     optimizer = AdamW(student, lr=cfg.lr)
-    sample_rng = derive_rng(cfg.seed, "sampling")
-    step_rng = derive_rng(cfg.seed, "step")
+    draws = step_draws(cfg, source, pseudo)
     log = []
     for step in range(cfg.iterations):
-        _, _, *batches = draw_batch(sample_rng, source, pseudo, cfg.batch)
-        log.append(train_step(student, teacher, *batches, step_rng, cfg, optimizer, step=step))
+        _, _, *batches, rng = next(draws)
+        log.append(train_step(student, teacher, *batches, rng, cfg, optimizer, step=step))
     return teacher, log

@@ -1,13 +1,17 @@
+import hashlib
+import itertools
 import os
 import re
 import shlex
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from osseg import autograd as ag
-from osseg import cli, evalmetrics, mixer, segmodel, synthdata, trainer
+from osseg import cli, evalmetrics, gradcheck, mixer, segmodel, synthdata, trainer
 from osseg.autograd import Tensor
 from osseg.rng import derive_rng
 from osseg.segmodel import (
@@ -22,6 +26,15 @@ from osseg.trainer import AttentionPairing, TrainConfig, TrainData, train
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def manifest_fields(path):
+    """The `key = value` lines of a run manifest, as a dict of strings."""
+    return dict(line.split(" = ", 1) for line in Path(path).read_text().splitlines())
 
 
 def tree_bytes(root):
@@ -588,7 +601,9 @@ class TestGradcheckCommand:
 
         monkeypatch.setattr(ag, "relu", broken_relu)
         assert run("gradcheck") == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr()
+        assert "FAIL" in out.out
+        assert re.fullmatch(r"error: failed groups: [^\n]+\n", out.err), out.err
 
     def test_corrupted_cross_pass_fails_both_step_groups(self, monkeypatch, capsys):
         # Only the cross-domain pass's logit gradients are wrong, for every
@@ -638,15 +653,101 @@ class TestRunManifests:
         for name, command in manifests.items():
             assert (out / name).read_text().startswith(f"command = {command}\n")
 
+    def test_train_manifest_names_the_inputs_of_its_checkpoint(self, pipeline):
+        got = manifest_fields(pipeline / "ckpt.osseg.manifest.txt")
+        cfg = trainer.parse_config_file(pipeline / "cfg.txt")
+        train_keys = [f.name for f in fields(TrainConfig)]
+        assert len(train_keys) == 11
+        for key in train_keys:
+            value = getattr(cfg, key)
+            assert got[key] == str(value.value if key == "pairing" else value), key
+        assert (got["iterations"], got["seed"], got["pairing"]) == (
+            "15", "3", "ours_pt_to_intermediate")
+        for f in fields(ModelConfig):
+            assert got[f.name] == str(getattr(ModelConfig(), f.name)), f.name
+        for key, path in (("out", "ckpt.osseg"), ("log", "train.csv"), ("config", "cfg.txt")):
+            assert got[key] == str(pipeline / path)
+            assert got[f"sha256.{key}"] == sha256(pipeline / path)
+        assert "sha256.data_root" not in got  # a directory
+
+    def test_mix_manifest_names_its_config_seed(self, pipeline, tmp_path):
+        out = tmp_path / "mixed"
+        assert run("mix", "--ckpt", str(pipeline / "ckpt.osseg"), "--config",
+                   str(pipeline / "cfg.txt"), "--data-root", str(pipeline / "data"),
+                   "--out-dir", str(out)) == 0
+        got = manifest_fields(out / "run_manifest.txt")
+        assert got["command"] == "mix" and got["seed"] == "3"
+        assert got["sha256.ckpt"] == sha256(pipeline / "ckpt.osseg")
+
+    def test_infer_without_color_out_skips_it(self, pipeline, tmp_path):
+        pred = tmp_path / "pred.pgm"
+        assert run("infer", "--ckpt", str(pipeline / "ckpt.osseg"), "--image",
+                   str(pipeline / "data" / "reference.ppm"), "--out", str(pred)) == 0
+        got = manifest_fields(f"{pred}.manifest.txt")
+        assert got["color_out"] == "None" and "sha256.color_out" not in got
+        assert got["sha256.out"] == sha256(pred)
+        assert sorted(os.listdir(tmp_path)) == ["pred.pgm", "pred.pgm.manifest.txt"]
+
+
+def snapshot(root):
+    """Every file under `root`, run manifests included: relative path -> bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+class TestPathCollisions:
+    # Each names one existing file or directory twice, once as an output.
+    # Without the check the command overwrote it: the checkpoint, the
+    # input image, the label map, the source set's manifest.txt.
+    CASES = {
+        "train_out_is_log": ["train", "--config", "{tmp}/cfg.txt", "--data-root", "{data}",
+                             "--out", "{tmp}/ckpt.osseg", "--log", "{tmp}/ckpt.osseg"],
+        "eval_out_is_ckpt": ["eval", "--ckpt", "{tmp}/ckpt.osseg", "--data-root",
+                             "{data}/targets", "--out", "{tmp}/./ckpt.osseg"],
+        "infer_out_is_image": ["infer", "--ckpt", "{tmp}/ckpt.osseg", "--image",
+                               "{tmp}/img.ppm", "--out", "{tmp}/img.ppm"],
+        "infer_color_out_is_out": ["infer", "--ckpt", "{tmp}/ckpt.osseg", "--image",
+                                   "{tmp}/img.ppm", "--out", "{tmp}/pred.pgm",
+                                   "--color-out", "{tmp}/pred.pgm"],
+        "stylize_out_dir_is_src_dir": ["stylize", "--src-dir", "{tmp}/source", "--reference",
+                                       "{tmp}/img.ppm", "--out-dir", "{tmp}/source"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_path_twice_is_usage_error_before_any_work(self, pipeline, tmp_path, capsys,
+                                                           monkeypatch, case):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for module, name in ((cli, "read_dataset"), (cli, "read_image"),
+                             (cli, "load_checkpoint"), (trainer, "parse_config_file")):
+            monkeypatch.setattr(module, name, no_work)
+        data = pipeline / "data"
+        shutil.copy(pipeline / "ckpt.osseg", tmp_path / "ckpt.osseg")
+        shutil.copy(pipeline / "cfg.txt", tmp_path / "cfg.txt")
+        shutil.copy(data / "reference.ppm", tmp_path / "img.ppm")
+        shutil.copy(data / "source" / "source" / "lbl_0.pgm", tmp_path / "pred.pgm")
+        shutil.copytree(data / "source", tmp_path / "source")
+        before = snapshot(tmp_path)
+        argv = [a.format(tmp=tmp_path, data=data) for a in self.CASES[case]]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: --[a-z-]+ and --[a-z-]+ name the same path [^\n]+\n", err)
+        assert snapshot(tmp_path) == before
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _sh_lines(text):
+    """The lines of every ```sh block in `text`, continuations joined."""
+    return [line.strip() for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+            for line in block.replace("\\\n", " ").splitlines()]
+
 
 class TestReadme:
     def test_every_osseg_command_parses(self):
         # Catches flags the README names that the parser no longer has.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
-        lines = [line.strip() for block in blocks
-                 for line in block.replace("\\\n", " ").splitlines()]
-        commands = [shlex.split(line, comments=True) for line in lines
+        commands = [shlex.split(line, comments=True) for line in _sh_lines(README.read_text())
                     if line.startswith("osseg ")]
         assert len(commands) >= 9
         parser = cli.build_parser()
@@ -655,3 +756,37 @@ class TestReadme:
                 parser.parse_args(argv[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+    def test_walkthrough_runs_in_order(self, tmp_path, monkeypatch):
+        # The sh blocks of README's "CLI walkthrough" section, in order, in a
+        # temp dir; `cp` and the cfg.txt heredoc are done in Python. Two
+        # departures keep this to a few seconds: cfg.txt sets `iterations = 2`
+        # in place of README's value, and `osseg gradcheck` runs on a stub of
+        # `gradcheck.run_gradcheck` that passes one group (the real check
+        # takes about 27 s; criterion 1 and TestGradcheckCommand run it).
+        section = README.read_text().split("## CLI walkthrough\n", 1)[1].split("\n## ", 1)[0]
+        lines = iter(_sh_lines(section))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(gradcheck, "run_gradcheck", lambda seed: {"stub": 0.0})
+        ran, outs = [], []
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            if not argv:
+                continue
+            if argv[0] == "cp":
+                shutil.copy(*argv[1:])
+            elif argv[:2] == ["cat", ">"] and argv[3:] == ["<<EOF"]:
+                body = "".join(f"{ln}\n" for ln in itertools.takewhile("EOF".__ne__, lines))
+                body, n = re.subn(r"(?m)^iterations = \d+$", "iterations = 2", body)
+                assert n == 1
+                Path(argv[2]).write_text(body)
+            else:
+                assert argv[0] == "osseg", line
+                assert run(*argv[1:]) == 0, line
+                ran.append(argv[1])
+                if argv[1] in ("train", "eval", "infer"):
+                    outs.append(argv[argv.index("--out") + 1])
+        assert ran == ["gen-data"] * 3 + ["stylize", "train", "eval", "infer", "gradcheck", "mix"]
+        assert len(outs) == 3
+        for out in outs:
+            assert Path(f"{out}.manifest.txt").is_file(), out
