@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .autograd import Tensor, backward, cross_entropy_pixelwise  # noqa: F401
 from .evalmetrics import ConfusionMatrix, IoUReport, accumulate, iou_report  # noqa: F401
-from .mixer import MixPair, build_mask, mix, mix_with_ground_truth, sample_classes  # noqa: F401
+from .mixer import build_mask, mix, sample_classes  # noqa: F401
 from .segmodel import (  # noqa: F401
     ModelConfig,
     ModelParams,
@@ -16,7 +16,7 @@ from .segmodel import (  # noqa: F401
     predict,
     save_checkpoint,
 )
-from .styletransfer import FdaConfig, build_pseudo_target, fda_stylize  # noqa: F401
+from .styletransfer import build_pseudo_target, fda_stylize  # noqa: F401
 from .synthdata import (  # noqa: F401
     DomainSample,
     DomainTag,

@@ -44,8 +44,7 @@ def cmd_gen_data(args):
 def cmd_stylize(args):
     data = read_dataset(args.src_dir)
     reference = read_image(args.reference)
-    cfg = styletransfer.FdaConfig(beta=args.beta)
-    styled = styletransfer.build_pseudo_target(data, reference, cfg)
+    styled = styletransfer.build_pseudo_target(data, reference, beta=args.beta)
     write_dataset(args.out_dir, "pt", styled)
 
 
@@ -71,7 +70,7 @@ def cmd_mix(args):
         raise ArgumentError(f"{args.config}: a step of this config builds no mixed crop")
     write_dataset(args.out_dir, "mix", [c.mixed for c in crops])
     for n, (i, j, c) in enumerate(zip(idx_i, idx_j, crops)):
-        pl, gt = c.acceptor.pseudo_label, c.acceptor.label  # no pl under a ground-truth mix
+        pl, gt = c.pseudo_label, c.acceptor.label  # no pl under a ground-truth mix
         hits = np.empty(0) if pl is None else (pl == gt)[gt != synthdata.IGNORE]
         with open(os.path.join(args.out_dir, "mix", f"mix_{n}.txt"), "w", encoding="utf-8") as f:
             f.write(f"donor_i = {i}\nacceptor_j = {j}\n"
@@ -163,12 +162,9 @@ def cmd_infer(args):
 
 def cmd_gradcheck(args):
     results = gradcheck.run_gradcheck(seed=args.seed)
-    failed = []
+    failed = [name for name, err in results.items() if not err < gradcheck.GATE]
     for name, err in results.items():
-        ok = err < gradcheck.GATE
-        print(f"{name:22s} max_rel_error={err:.3e} {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failed.append(name)
+        print(f"{name:22s} max_rel_error={err:.3e} {'FAIL' if name in failed else 'PASS'}")
     if failed:
         raise OssegError("failed groups: " + ", ".join(failed))
 
@@ -187,8 +183,9 @@ def _run(args):
 
     Its subparser names the path arguments it `reads` and `writes` (files,
     or directories if `dirs`); an unset one is skipped. Before any work, two
-    paths with one `os.path.realpath` are a usage error, a file output that
-    is a directory fails, and the outputs' parents are made. The manifest,
+    paths with one `os.path.realpath`, or an output directory inside a
+    directory it reads, are a usage error, a file output that is a
+    directory fails, and the outputs' parents are made. The manifest,
     named after the first output, lists the parsed arguments, the settings
     dict the command returns and the SHA-256 of each path that is a file.
     """
@@ -199,6 +196,12 @@ def _run(args):
         other = seen.setdefault(os.path.realpath(path), dest)
         if other != dest:
             raise ArgumentError(f"{_flag(other)} and {_flag(dest)} name the same path {path}")
+    for real, dest in seen.items():
+        for outer, read in seen.items():
+            if (args.dirs and dest in args.writes and read in args.reads
+                    and os.path.isdir(outer) and real.startswith(os.path.join(outer, ""))):
+                raise ArgumentError(f"{_flag(dest)} {paths[dest]} lies inside "
+                                    f"{_flag(read)} {paths[read]}")
     outputs = [paths[dest] for dest in args.writes if dest in paths]
     for path in outputs:
         if not args.dirs and os.path.isdir(path):

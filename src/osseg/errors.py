@@ -39,10 +39,6 @@ class ArgumentError(OssegError):
     """A caller-supplied argument is invalid (usage error at the CLI)."""
 
 
-class ContractError(OssegError):
-    """A call violates an API precondition (e.g. missing pseudo-label)."""
-
-
 class EmptyLabelError(ValidationError):
     """A label map contains no usable (non-ignore) pixels."""
 

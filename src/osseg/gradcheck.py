@@ -14,7 +14,7 @@ from . import autograd as ag
 from .autograd import Tensor, cross_entropy_pixelwise
 from .rng import derive_rng
 from .segmodel import ModelConfig, init_params
-from .styletransfer import FdaConfig, fda_stylize
+from .styletransfer import fda_stylize
 from .synthdata import DomainSample, DomainTag
 from .trainer import AttentionPairing, TrainConfig, step_loss
 
@@ -124,7 +124,7 @@ def _step_losses(seed):
 
     def samples():
         src = DomainSample(rng.random((8, 8, 3)), rng.integers(0, 3, (8, 8)).astype(np.uint8))
-        pt = DomainSample(fda_stylize(src.image, rng.random((8, 8, 3)), FdaConfig(beta=0.25)),
+        pt = DomainSample(fda_stylize(src.image, rng.random((8, 8, 3)), beta=0.25),
                           src.label, DomainTag.PSEUDO_TARGET)
         acceptor = DomainSample(rng.random((8, 8, 3)),
                                 rng.integers(0, 3, (8, 8)).astype(np.uint8))

@@ -6,29 +6,10 @@ pixels of those classes are copied from the donor image onto the acceptor
 the acceptor's pseudo-label (or ground truth, for the ablation variant).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContractError, DimensionError, EmptyLabelError
+from .errors import DimensionError, EmptyLabelError
 from .synthdata import IGNORE, DomainSample, DomainTag
-
-
-@dataclass
-class MixPair:
-    donor: DomainSample  # pseudo-target sample, carries its ground-truth label
-    acceptor: DomainSample  # source sample, must carry a pseudo-label
-
-    def __post_init__(self):
-        if self.donor.image.shape != self.acceptor.image.shape:
-            raise DimensionError(
-                f"donor {self.donor.image.shape} and acceptor "
-                f"{self.acceptor.image.shape} sizes differ"
-            )
-        if self.donor.domain_tag is not DomainTag.PSEUDO_TARGET:
-            raise ContractError(f"donor must be PSEUDO_TARGET, got {self.donor.domain_tag}")
-        if self.acceptor.domain_tag is not DomainTag.SOURCE:
-            raise ContractError(f"acceptor must be SOURCE, got {self.acceptor.domain_tag}")
 
 
 def sample_classes(label, rng):
@@ -48,30 +29,19 @@ def build_mask(label, classes):
     return mask.astype(np.uint8)
 
 
-def _mix_with_label(pair, mask, acceptor_label):
-    mask = np.asarray(mask, dtype=np.uint8)
-    if mask.shape != pair.donor.label.shape:
-        raise DimensionError(
-            f"mask {mask.shape} does not match sample {pair.donor.label.shape}"
-        )
-    sel = mask.astype(bool)
-    image = np.where(sel[:, :, None], pair.donor.image, pair.acceptor.image)
-    label = np.where(sel, pair.donor.label, acceptor_label).astype(np.uint8)
-    return DomainSample(image=image, label=label, domain_tag=DomainTag.INTERMEDIATE)
-
-
-def mix(pair, mask):
+def mix(donor, acceptor, mask, acceptor_label):
     """Pixel-exact selection: donor where mask==1, acceptor elsewhere.
 
     The mixed label takes the donor's ground truth on selected pixels and
-    the acceptor's pseudo-label elsewhere; ignore values propagate from
+    `acceptor_label` (the teacher's pseudo-label, or the acceptor's ground
+    truth for the ablation variant) elsewhere; ignore values propagate from
     whichever side is selected.
     """
-    if pair.acceptor.pseudo_label is None:
-        raise ContractError("acceptor sample has no pseudo-label attached")
-    return _mix_with_label(pair, mask, pair.acceptor.pseudo_label)
-
-
-def mix_with_ground_truth(pair, mask):
-    """Ablation variant: the acceptor contributes its ground-truth label."""
-    return _mix_with_label(pair, mask, pair.acceptor.label)
+    mask = np.asarray(mask, dtype=np.uint8)
+    if donor.image.shape != acceptor.image.shape or mask.shape != donor.label.shape:
+        raise DimensionError(f"donor {donor.image.shape}, acceptor {acceptor.image.shape} "
+                             f"and mask {mask.shape} sizes differ")
+    sel = mask.astype(bool)
+    image = np.where(sel[:, :, None], donor.image, acceptor.image)
+    label = np.where(sel, donor.label, acceptor_label).astype(np.uint8)
+    return DomainSample(image=image, label=label, domain_tag=DomainTag.INTERMEDIATE)

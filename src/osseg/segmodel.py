@@ -23,8 +23,8 @@ is plain cross-domain attention. Fully masked rows produce zero attention
 output, so the residual connection carries those tokens through unchanged.
 """
 
-import io
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -64,20 +64,6 @@ class ModelConfig:
             )
 
 
-@dataclass
-class ForwardTrace:
-    """Intermediate states of one pass over S images and C cross entries.
-
-    Per-image lists hold one entry per image. The decoder runs over S + C
-    blocks, the images' own first: block b's tokens are rows
-    [b*N, (b+1)*N) of `e_class`, and `logits[b]` is its output.
-    """
-
-    e_pixel: list  # per image, pixel embeddings at half resolution: (C_e, H/2, W/2)
-    e_class: Tensor  # final tokens, one row per class and block: ((S+C)*N, C_e)
-    logits: list  # per block, its class rows @ its image's e_pixel upsampled 2x: (N, H, W)
-
-
 class ModelParams:
     """Named parameter tensors of one network instance, packed in one vector.
 
@@ -107,9 +93,6 @@ class ModelParams:
 
     def __getitem__(self, name):
         return self.tensors[name]
-
-    def names(self):
-        return list(self.tensors.keys())
 
     def trainable(self, flag=True):
         """Switch gradient tracking; the gradient vector, once made, stays."""
@@ -302,11 +285,12 @@ def _forward(params, imgs, cross):
         ce, h, w = e_pixels[owner].shape
         out = ag.matmul(e_rows, ag.reshape(e_pixels[owner], (ce, h * w)))
         logits.append(ag.bilinear_upsample2x(ag.reshape(out, (n, h, w))))
-    return ForwardTrace(list(e_pixels), e_class, logits)
+    return logits
 
 
 def forward(params, imgs):
-    """Standard forward pass over a list of equal-size images.
+    """Standard forward pass over a list of equal-size images: each image's
+    (N, H, W) logits.
 
     The trunk runs per image, the decoder once over the batch, with
     self-attention among each image's class tokens.
@@ -324,8 +308,8 @@ def forward_cross(params, imgs, cross):
     class-aware cross-domain attention, with the query that block `cond`'s
     own token attention computed in the same layer (the same learned
     projection as the self-attention path), keys and values from the cross
-    block's tokens, and `bias`, an N x N class bias. The trace's logits
-    hold the images' blocks first, then one per entry.
+    block's tokens, and `bias`, an N x N class bias. Returns the logits
+    of the images' blocks first, then one per entry.
 
     Image features, keys and values are computed once per image, however
     many blocks read them.
@@ -352,7 +336,7 @@ def label_maps(params, imgs, threshold=0.0):
     NumericError if any logit is non-finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = [x.data for x in forward(params, imgs).logits]
+        logits = [x.data for x in forward(params, imgs)]
     maps = []
     for x in logits:
         if not np.isfinite(x).all():
@@ -395,23 +379,23 @@ def _parse_config_block(blob):
 
 def save_checkpoint(path, params):
     """Flat binary container: magic, config block, then named float64 blobs."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
     cfg_blob = _config_block(params.config)
-    buf.write(struct.pack("<I", len(cfg_blob)))
-    buf.write(cfg_blob)
-    buf.write(struct.pack("<I", len(params.tensors)))
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(cfg_blob)), cfg_blob,
+             struct.pack("<I", len(params.tensors))]
     for name, t in params.tensors.items():
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        shape = t.data.shape
-        buf.write(struct.pack("<B", len(shape)))
-        for dim in shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(t.data.astype("<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        nb, shape = name.encode("utf-8"), t.data.shape
+        parts += [struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape),
+                  t.data.astype("<f8").tobytes()]
+    # Written beside the target and renamed over it, so a failed write
+    # leaves any previous checkpoint whole.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(parts))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

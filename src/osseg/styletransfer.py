@@ -10,11 +10,12 @@ swapped spectrum of a real image stays Hermitian.
 Only the window's bins change, so no full FFT is taken: the swap is a DFT
 restricted to the r rows and c columns the window touches and its adjoint,
 O(H*W*(r + c)) per channel (r = c = 3 at the default beta and 64 px).
+That cost grows with beta, and at large beta on large images it overtakes
+three full FFTs: one 512x512 image took 0.56 s at beta 1 against 0.12 s
+with full FFTs, and 0.20 s against 0.13 s at beta 0.5.
 `build_pseudo_target` resizes the reference and computes its window
 amplitudes once per image size, then stylizes one image at a time.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +25,9 @@ from .synthdata import DomainSample, DomainTag
 DEFAULT_BETA = 0.05
 
 
-@dataclass
-class FdaConfig:
-    beta: float = DEFAULT_BETA
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ArgumentError(f"beta must be in [0, 1], got {self.beta}")
+def _check_beta(beta):
+    if not 0.0 <= beta <= 1.0:
+        raise ArgumentError(f"beta must be in [0, 1], got {beta}")
 
 
 def _window_bounds(size, beta):
@@ -130,24 +127,25 @@ def _stylize(src, reference, beta, swaps):
     return src.copy() if swap is None else swap(src)
 
 
-def fda_stylize(src, reference, cfg=None):
+def fda_stylize(src, reference, beta=DEFAULT_BETA):
     """Transplant the reference's low-frequency amplitude onto `src`.
 
     Operates per RGB channel: swap amplitudes inside the centered window of
     the shifted spectrum, keep the source phase, invert, take the real part
     and clip to [0, 1]. The reference is resized to `src`'s size first if
-    needed. Never reads any label map.
+    needed. Never reads any label map. ArgumentError unless 0 <= beta <= 1.
     """
-    return _stylize(src, reference, (cfg or FdaConfig()).beta, {})
+    _check_beta(beta)
+    return _stylize(src, reference, beta, {})
 
 
-def build_pseudo_target(dataset, reference, cfg=None):
+def build_pseudo_target(dataset, reference, beta=DEFAULT_BETA):
     """Stylize every SOURCE sample; labels are copied bit-for-bit.
 
     Each sample goes through `fda_stylize`'s path; the reference is resized
     and transformed once per image size, not once per sample.
     """
-    beta = (cfg or FdaConfig()).beta
+    _check_beta(beta)
     swaps = {}
     out = []
     for i, sample in enumerate(dataset):

@@ -86,7 +86,6 @@ class DomainSample:
     image: np.ndarray  # (H, W, 3) float64 in [0, 1]
     label: np.ndarray  # (H, W) uint8, class ids or IGNORE
     domain_tag: DomainTag = DomainTag.SOURCE
-    pseudo_label: np.ndarray = None
 
     def __post_init__(self):
         if self.image.shape[:2] != self.label.shape:
@@ -231,14 +230,16 @@ def _read_pnm(path, magic, channels):
     return np.frombuffer(blob, dtype=np.uint8, offset=off).reshape(height, width, channels)
 
 
+def _write_pnm(path, magic, data):
+    """A binary PNM file (maxval 255) of the uint8 array `data`, (H, W) or (H, W, 3)."""
+    with open(path, "wb") as f:
+        f.write(b"%s\n%d %d\n255\n" % (magic, data.shape[1], data.shape[0]) + data.tobytes())
+
+
 def write_image(path, img):
     """Binary PPM (P6, maxval 255); values quantized by round(v * 255)."""
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape[:2]
-    data = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(data.tobytes())
+    img = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)
+    _write_pnm(path, b"P6", np.rint(img * 255.0).astype(np.uint8))
 
 
 def read_image(path):
@@ -247,11 +248,7 @@ def read_image(path):
 
 def write_label(path, lbl):
     """Binary PGM (P5, maxval 255); byte value equals the class id."""
-    lbl = np.asarray(lbl, dtype=np.uint8)
-    h, w = lbl.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(lbl.tobytes())
+    _write_pnm(path, b"P5", np.asarray(lbl, dtype=np.uint8))
 
 
 def read_label(path, num_classes=None):

@@ -194,13 +194,14 @@ def _crop_window(rng, shape, size):
 @dataclass
 class SampleCrops:
     """One sample's crops of a step; `mask` and `mixed` are set when the step mixes,
-    the acceptor's pseudo-label when it mixes with pseudo-labels, `classes`
-    when it samples classes."""
+    `pseudo_label` (the teacher's, of the acceptor crop) when it mixes with
+    pseudo-labels, `classes` when it samples classes."""
 
     donor: DomainSample
     source: np.ndarray
     acceptor: DomainSample
     classes: frozenset = None
+    pseudo_label: np.ndarray = None
     mask: np.ndarray = None
     mixed: DomainSample = None
 
@@ -228,17 +229,12 @@ def build_crops(teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
         crops.append(c)
     if cfg.use_idr or cfg.pairing in (AttentionPairing.OURS_PT_TO_INTERMEDIATE,
                                       AttentionPairing.VARIANT_S):
-        if cfg.use_ground_truth_mix:
-            mix = mixer.mix_with_ground_truth
-        else:
-            mix = mixer.mix
-            acc_pls = pseudo_label(teacher, [c.acceptor.image for c in crops],
-                                   cfg.pseudo_label_threshold)
-            for c, acc_pl in zip(crops, acc_pls):
-                c.acceptor.pseudo_label = acc_pl
-        for c in crops:
+        pls = ([None] * len(crops) if cfg.use_ground_truth_mix else pseudo_label(
+            teacher, [c.acceptor.image for c in crops], cfg.pseudo_label_threshold))
+        for c, pl in zip(crops, pls):
+            c.pseudo_label = pl
             c.mask = mixer.build_mask(c.donor.label, c.classes)
-            c.mixed = mix(mixer.MixPair(c.donor, c.acceptor), c.mask)
+            c.mixed = mixer.mix(c.donor, c.acceptor, c.mask, c.acceptor.label if pl is None else pl)
     return crops
 
 
@@ -285,7 +281,7 @@ def step_loss(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg):
         }[cfg.pairing]
         cross = [(main_at + b, cond_at + b, build_class_bias(n, c.classes))
                  for b, c in enumerate(crops)]
-    logits = (forward_cross(student, imgs, cross) if cross else forward(student, imgs)).logits
+    logits = forward_cross(student, imgs, cross) if cross else forward(student, imgs)
 
     l_pt = _mean_loss(logits[:batch], labels)
     l_idr = _mean_loss(logits[batch:2 * batch] if cfg.use_idr else [], mixed_labels)

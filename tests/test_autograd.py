@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osseg import autograd as ag
 from osseg.autograd import Tensor
 from osseg.errors import DimensionError, NumericError, ValidationError
-from osseg.gradcheck import check_op
+from osseg.gradcheck import GATE, check_op
 
 
 def check_op_gradient(build, shapes, seed, tol=1e-4, step=1e-6):
@@ -138,7 +138,29 @@ class TestBlockAttention:
             ag.block_attention(t, t, Tensor(np.ones((4, channels))), [0, 1], 2, heads=heads)
 
 
+@st.composite
+def _conv_cases(draw):
+    """(stride, pad, k, h, w, c_in, c_out, seed), the kernel at most the padded input."""
+    stride, pad, k = (draw(st.sampled_from(v)) for v in ((1, 2), (0, 1), (1, 3)))
+    low = max(1, k - 2 * pad)
+    return (stride, pad, k, draw(st.integers(low, 7)), draw(st.integers(low, 7)),
+            draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2**32 - 1)))
+
+
 class TestConv2d:
+    # The kernel as large as the padded input, with and without padding,
+    # then odd and even sizes under stride 2.
+    @example(case=(1, 1, 3, 1, 1, 1, 1, 0))
+    @example(case=(2, 0, 3, 3, 3, 2, 1, 1))
+    @example(case=(2, 1, 3, 7, 8, 2, 2, 2))
+    @given(case=_conv_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_fuzz(self, case):
+        stride, pad, k, h, w, c_in, c_out, seed = case
+        err = check_op(lambda x, wt: ag.conv2d(x, wt, stride=stride, pad=pad),
+                       [(c_in, h, w), (c_out, c_in, k, k)], np.random.default_rng(seed))
+        assert err < GATE, f"rel error {err}"
+
     def test_ones_times_two(self):
         x = Tensor(np.ones((1, 3, 3)))
         w = Tensor(np.full((1, 1, 1, 1), 2.0))

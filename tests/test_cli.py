@@ -167,9 +167,10 @@ class TestMix:
         mixes, student_imgs = [], []
         real_mix, real_cross = mixer.mix, trainer.forward_cross
 
-        def recording_mix(pair, mask):
-            mixes.append((pair, mask, real_mix(pair, mask)))
-            return mixes[-1][2]
+        def recording_mix(donor, acceptor, mask, acceptor_label):
+            mixes.append((donor, acceptor, mask, acceptor_label,
+                          real_mix(donor, acceptor, mask, acceptor_label)))
+            return mixes[-1][-1]
 
         def recording_cross(params, imgs, cross):
             student_imgs.extend(imgs)
@@ -183,14 +184,14 @@ class TestMix:
 
         assert len(mixes) == cfg.batch
         assert len((out / "manifest.txt").read_text().splitlines()) == cfg.batch
-        for n, (pair, mask, mixed) in enumerate(mixes):
+        for n, (donor, acceptor, mask, pl, mixed) in enumerate(mixes):
             assert np.array_equal(student_imgs[cfg.batch + n], mixed.image)
             assert np.array_equal(read_label(out / "mix" / f"lbl_{n}.pgm"), mixed.label)
             written = np.rint(read_image(out / "mix" / f"img_{n}.ppm") * 255.0)
             assert np.array_equal(written, np.rint(np.clip(mixed.image, 0.0, 1.0) * 255.0))
-            known = pair.acceptor.label != synthdata.IGNORE
-            accuracy = (pair.acceptor.pseudo_label == pair.acceptor.label)[known].mean()
-            classes = sorted(np.unique(pair.donor.label[mask == 1]).tolist())
+            known = acceptor.label != synthdata.IGNORE
+            accuracy = (pl == acceptor.label)[known].mean()
+            classes = sorted(np.unique(donor.label[mask == 1]).tolist())
             assert (out / "mix" / f"mix_{n}.txt").read_text() == (
                 f"donor_i = {idx_i[n]}\nacceptor_j = {idx_j[n]}\n"
                 f"classes = {','.join(map(str, classes))}\n"
@@ -615,10 +616,10 @@ class TestGradcheckCommand:
             return lambda g: orig(g * 1.5)
 
         def broken_cross(params, imgs, cross):
-            trace = real_cross(params, imgs, cross)
-            for logits in trace.logits[len(imgs):]:
+            out = real_cross(params, imgs, cross)
+            for logits in out[len(imgs):]:
                 logits._backward_fn = scaled(logits._backward_fn)
-            return trace
+            return out
 
         monkeypatch.setattr(segmodel, "forward_cross", broken_cross)
         monkeypatch.setattr(trainer, "forward_cross", broken_cross)
@@ -695,9 +696,10 @@ def snapshot(root):
 
 
 class TestPathCollisions:
-    # Each names one existing file or directory twice, once as an output.
-    # Without the check the command overwrote it: the checkpoint, the
-    # input image, the label map, the source set's manifest.txt.
+    # Each names one existing file or directory twice, once as an output,
+    # or an output directory inside an input one. Without the check the
+    # command overwrote the checkpoint, the input image, the label map or
+    # the source set's manifest.txt.
     CASES = {
         "train_out_is_log": ["train", "--config", "{tmp}/cfg.txt", "--data-root", "{data}",
                              "--out", "{tmp}/ckpt.osseg", "--log", "{tmp}/ckpt.osseg"],
@@ -710,6 +712,9 @@ class TestPathCollisions:
                                    "--color-out", "{tmp}/pred.pgm"],
         "stylize_out_dir_is_src_dir": ["stylize", "--src-dir", "{tmp}/source", "--reference",
                                        "{tmp}/img.ppm", "--out-dir", "{tmp}/source"],
+        "mix_out_dir_inside_data_root": ["mix", "--ckpt", "{tmp}/ckpt.osseg", "--config",
+                                         "{tmp}/cfg.txt", "--data-root", "{tmp}",
+                                         "--out-dir", "{tmp}/source"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -731,7 +736,8 @@ class TestPathCollisions:
         argv = [a.format(tmp=tmp_path, data=data) for a in self.CASES[case]]
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: --[a-z-]+ and --[a-z-]+ name the same path [^\n]+\n", err)
+        assert re.fullmatch(r"error: --[a-z-]+ (and --[a-z-]+ name the same path|[^\n]+ lies "
+                            r"inside --[a-z-]+) [^\n]+\n", err)
         assert snapshot(tmp_path) == before
 
 

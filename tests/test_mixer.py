@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from osseg.errors import ContractError, EmptyLabelError
-from osseg.mixer import MixPair, build_mask, mix, mix_with_ground_truth, sample_classes
+from osseg.errors import DimensionError, EmptyLabelError
+from osseg.mixer import build_mask, mix, sample_classes
 from osseg.synthdata import IGNORE, DomainSample, DomainTag
 
 
-def make_pair(rng, size=8, n=5, with_pseudo=True):
+def make_pair(rng, size=8, n=5):
+    """(donor, acceptor, the acceptor's pseudo-label)."""
     donor = DomainSample(
         image=rng.random((size, size, 3)),
         label=rng.integers(0, n, (size, size)).astype(np.uint8),
@@ -16,9 +17,8 @@ def make_pair(rng, size=8, n=5, with_pseudo=True):
         image=rng.random((size, size, 3)),
         label=rng.integers(0, n, (size, size)).astype(np.uint8),
         domain_tag=DomainTag.SOURCE,
-        pseudo_label=rng.integers(0, n, (size, size)).astype(np.uint8) if with_pseudo else None,
     )
-    return MixPair(donor=donor, acceptor=acceptor)
+    return donor, acceptor, rng.integers(0, n, (size, size)).astype(np.uint8)
 
 
 class TestSampleClasses:
@@ -84,99 +84,96 @@ class TestBuildMask:
 
 class TestMix:
     def test_all_ones_mask_gives_donor(self):
-        pair = make_pair(np.random.default_rng(0))
-        out = mix(pair, np.ones((8, 8), dtype=np.uint8))
-        assert np.array_equal(out.image, pair.donor.image)
-        assert np.array_equal(out.label, pair.donor.label)
+        donor, acceptor, pl = make_pair(np.random.default_rng(0))
+        out = mix(donor, acceptor, np.ones((8, 8), dtype=np.uint8), pl)
+        assert np.array_equal(out.image, donor.image)
+        assert np.array_equal(out.label, donor.label)
         assert out.domain_tag is DomainTag.INTERMEDIATE
 
     def test_all_zeros_mask_gives_acceptor(self):
-        pair = make_pair(np.random.default_rng(1))
-        out = mix(pair, np.zeros((8, 8), dtype=np.uint8))
-        assert np.array_equal(out.image, pair.acceptor.image)
-        assert np.array_equal(out.label, pair.acceptor.pseudo_label)
+        donor, acceptor, pl = make_pair(np.random.default_rng(1))
+        out = mix(donor, acceptor, np.zeros((8, 8), dtype=np.uint8), pl)
+        assert np.array_equal(out.image, acceptor.image)
+        assert np.array_equal(out.label, pl)
 
     def test_per_pixel_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            pair = make_pair(rng)
+            donor, acceptor, pl = make_pair(rng)
             mask = rng.integers(0, 2, (8, 8)).astype(np.uint8)
-            out = mix(pair, mask)
+            out = mix(donor, acceptor, mask, pl)
             for i in range(8):
                 for j in range(8):
                     if mask[i, j]:
-                        assert np.array_equal(out.image[i, j], pair.donor.image[i, j])
-                        assert out.label[i, j] == pair.donor.label[i, j]
+                        assert np.array_equal(out.image[i, j], donor.image[i, j])
+                        assert out.label[i, j] == donor.label[i, j]
                     else:
-                        assert np.array_equal(out.image[i, j], pair.acceptor.image[i, j])
-                        assert out.label[i, j] == pair.acceptor.pseudo_label[i, j]
+                        assert np.array_equal(out.image[i, j], acceptor.image[i, j])
+                        assert out.label[i, j] == pl[i, j]
 
-    def test_missing_pseudo_label_raises(self):
-        pair = make_pair(np.random.default_rng(3), with_pseudo=False)
-        with pytest.raises(ContractError):
-            mix(pair, np.zeros((8, 8), dtype=np.uint8))
+    def test_size_mismatch_raises(self):
+        donor, acceptor, pl = make_pair(np.random.default_rng(3))
+        small, _, _ = make_pair(np.random.default_rng(3), size=4)
+        with pytest.raises(DimensionError):
+            mix(donor, small, np.zeros((8, 8), dtype=np.uint8), pl)
+        with pytest.raises(DimensionError):
+            mix(donor, acceptor, np.zeros((4, 4), dtype=np.uint8), pl)
 
     def test_ignore_propagates_from_selected_side(self):
-        pair = make_pair(np.random.default_rng(4))
-        pair.acceptor.pseudo_label[0, 0] = IGNORE
-        out = mix(pair, np.zeros((8, 8), dtype=np.uint8))
+        donor, acceptor, pl = make_pair(np.random.default_rng(4))
+        pl[0, 0] = IGNORE
+        out = mix(donor, acceptor, np.zeros((8, 8), dtype=np.uint8), pl)
         assert out.label[0, 0] == IGNORE
 
     def test_selection_is_idempotent(self):
         rng = np.random.default_rng(5)
-        pair = make_pair(rng)
+        donor, acceptor, pl = make_pair(rng)
         mask = rng.integers(0, 2, (8, 8)).astype(np.uint8)
-        once = mix(pair, mask)
-        again_pair = MixPair(
-            donor=pair.donor,
-            acceptor=DomainSample(
-                image=once.image, label=pair.acceptor.label,
-                domain_tag=DomainTag.SOURCE, pseudo_label=once.label,
-            ),
-        )
-        twice = mix(again_pair, mask)
+        once = mix(donor, acceptor, mask, pl)
+        again = DomainSample(image=once.image, label=acceptor.label, domain_tag=DomainTag.SOURCE)
+        twice = mix(donor, again, mask, once.label)
         assert np.array_equal(once.image, twice.image)
         assert np.array_equal(once.label, twice.label)
 
     def test_masked_pixels_hold_sampled_classes(self):
         rng = np.random.default_rng(6)
-        pair = make_pair(rng)
-        sampled = sample_classes(pair.donor.label, rng)
-        mask = build_mask(pair.donor.label, sampled)
-        out = mix(pair, mask)
+        donor, acceptor, pl = make_pair(rng)
+        sampled = sample_classes(donor.label, rng)
+        mask = build_mask(donor.label, sampled)
+        out = mix(donor, acceptor, mask, pl)
         values = set(int(v) for v in np.unique(out.label[mask.astype(bool)]))
         assert values <= set(sampled) | {IGNORE}
 
     def test_no_invented_class_ids(self):
         rng = np.random.default_rng(7)
-        pair = make_pair(rng)
+        donor, acceptor, pl = make_pair(rng)
         mask = rng.integers(0, 2, (8, 8)).astype(np.uint8)
-        out = mix(pair, mask)
-        allowed = set(np.unique(pair.donor.label)) | set(np.unique(pair.acceptor.pseudo_label))
+        out = mix(donor, acceptor, mask, pl)
+        allowed = set(np.unique(donor.label)) | set(np.unique(pl))
         assert set(np.unique(out.label)) <= allowed
 
 
 class TestMixWithGroundTruth:
     def test_all_zeros_gives_acceptor_ground_truth(self):
-        pair = make_pair(np.random.default_rng(8))
-        out = mix_with_ground_truth(pair, np.zeros((8, 8), dtype=np.uint8))
-        assert np.array_equal(out.label, pair.acceptor.label)
+        donor, acceptor, _ = make_pair(np.random.default_rng(8))
+        out = mix(donor, acceptor, np.zeros((8, 8), dtype=np.uint8), acceptor.label)
+        assert np.array_equal(out.label, acceptor.label)
 
     def test_all_ones_identical_to_mix(self):
-        pair = make_pair(np.random.default_rng(9))
+        donor, acceptor, pl = make_pair(np.random.default_rng(9))
         ones = np.ones((8, 8), dtype=np.uint8)
-        a = mix(pair, ones)
-        b = mix_with_ground_truth(pair, ones)
+        a = mix(donor, acceptor, ones, pl)
+        b = mix(donor, acceptor, ones, acceptor.label)
         assert np.array_equal(a.image, b.image)
         assert np.array_equal(a.label, b.label)
 
     def test_differs_exactly_where_pseudo_disagrees_and_unmasked(self):
         rng = np.random.default_rng(10)
-        pair = make_pair(rng)
+        donor, acceptor, pl = make_pair(rng)
         mask = rng.integers(0, 2, (8, 8)).astype(np.uint8)
-        a = mix(pair, mask)
-        b = mix_with_ground_truth(pair, mask)
+        a = mix(donor, acceptor, mask, pl)
+        b = mix(donor, acceptor, mask, acceptor.label)
         diff = a.label != b.label
-        expected = (mask == 0) & (pair.acceptor.pseudo_label != pair.acceptor.label)
+        expected = (mask == 0) & (pl != acceptor.label)
         assert np.array_equal(diff, expected)
         assert np.array_equal(a.image, b.image)

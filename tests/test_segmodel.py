@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 
 import numpy as np
@@ -190,24 +192,26 @@ class TestClassAwareAttention:
 class TestForward:
     def test_logits_shape(self):
         params = tiny_params()
-        trace = forward(params, [rand_img(np.random.default_rng(9), 16)])
-        assert trace.logits[0].shape == (3, 16, 16)
-        assert trace.e_pixel[0].shape == (8, 8, 8)
-        assert trace.e_class.shape == (3, 8)
-        assert len(trace.logits) == 1
+        logits = forward(params, [rand_img(np.random.default_rng(9), 16)])
+        assert logits[0].shape == (3, 16, 16)
+        assert len(logits) == 1
 
     def test_zero_params_give_uniform_softmax(self):
         params = tiny_params()
         for t in params.tensors.values():
             t.data[:] = 0.0
-        trace = forward(params, [rand_img(np.random.default_rng(10))])
-        assert not trace.logits[0].data.any()
+        logits = forward(params, [rand_img(np.random.default_rng(10))])
+        assert not logits[0].data.any()
 
     def test_logits_equal_product_of_embeddings(self):
         params = tiny_params()
-        trace = forward(params, [rand_img(np.random.default_rng(11))])
-        manual = (trace.e_class.data @ trace.e_pixel[0].data.reshape(8, -1)).reshape(3, 4, 4)
-        assert np.array_equal(trace.logits[0].data, ag.bilinear_upsample2x(Tensor(manual)).data)
+        img = rand_img(np.random.default_rng(11))
+        features, e_pixel = segmodel._backbone_and_pixels(params, img)
+        e_class = segmodel._decoder(params, [features], [])
+        assert e_pixel.shape == (8, 4, 4) and e_class.shape == (3, 8)
+        manual = (e_class.data @ e_pixel.data.reshape(8, -1)).reshape(3, 4, 4)
+        assert np.array_equal(forward(params, [img])[0].data,
+                              ag.bilinear_upsample2x(Tensor(manual)).data)
 
     def test_size_not_divisible_by_8(self):
         with pytest.raises(ConfigurationError):
@@ -216,32 +220,32 @@ class TestForward:
     def test_forward_is_pure(self):
         params = tiny_params()
         img = rand_img(np.random.default_rng(12))
-        a = forward(params, [img]).logits[0].data
-        b = forward(params, [img]).logits[0].data
+        a = forward(params, [img])[0].data
+        b = forward(params, [img])[0].data
         assert np.array_equal(a, b)
 
     def test_permutation_consistency(self):
         params = tiny_params(seed=5)
         img = rand_img(np.random.default_rng(13))
-        base = forward(params, [img]).logits[0].data
+        base = forward(params, [img])[0].data
         perm = np.array([2, 0, 1])
         permuted = params.copy()
         permuted.tensors["query_embed"].data = params["query_embed"].data[perm]
-        out = forward(permuted, [img]).logits[0].data
+        out = forward(permuted, [img])[0].data
         assert np.allclose(out, base[perm], atol=1e-12)
 
     def test_two_heads_run(self):
         cfg = ModelConfig(num_classes=3, embed_dim=8, decoder_layers=1, heads=2,
                           backbone_channels=(2, 4, 8))
-        trace = forward(init_params(cfg, seed=1), [rand_img(np.random.default_rng(14))])
-        assert trace.logits[0].shape == (3, 8, 8)
+        logits = forward(init_params(cfg, seed=1), [rand_img(np.random.default_rng(14))])
+        assert logits[0].shape == (3, 8, 8)
 
     def test_gradient_of_ce_loss(self):
         params = tiny_params(seed=2)
         img = rand_img(np.random.default_rng(15))
         label = np.random.default_rng(16).integers(0, 3, (8, 8)).astype(np.uint8)
         assert_grads_match_fd(
-            params, lambda: cross_entropy_pixelwise(forward(params, [img]).logits[0], label),
+            params, lambda: cross_entropy_pixelwise(forward(params, [img])[0], label),
             ["backbone.0.w", "pixdec.1.w", "query_embed", "dec.0.sa.wq",
              "dec.1.ffn.w1", "dec.0.ln1.g", "dec.1.ca.wv"],
         )
@@ -299,8 +303,8 @@ class TestMultihead:
         bias = build_class_bias(3, {2})
 
         def loss_of():
-            trace = forward_cross(params, [img_m, img_pt], [(0, 1, bias)])
-            return cross_entropy_pixelwise(trace.logits[2], label)
+            logits = forward_cross(params, [img_m, img_pt], [(0, 1, bias)])
+            return cross_entropy_pixelwise(logits[2], label)
 
         assert_grads_match_fd(params, loss_of,
                               ["dec.0.sa.wq", "dec.1.sa.wv", "dec.0.ca.wk", "dec.1.sa.wo"])
@@ -310,8 +314,8 @@ class TestForwardCross:
     def test_identical_images_empty_set_equals_forward(self):
         params = tiny_params(seed=3)
         img = rand_img(np.random.default_rng(18))
-        plain = forward(params, [img]).logits[0].data
-        cross = forward_cross(params, [img], [(0, 0, build_class_bias(3, set()))]).logits[1].data
+        plain = forward(params, [img])[0].data
+        cross = forward_cross(params, [img], [(0, 0, build_class_bias(3, set()))])[1].data
         assert np.abs(cross - plain).max() < 1e-9
 
     def test_fully_masked_bias_matches_identity_sublayer_path(self):
@@ -321,13 +325,13 @@ class TestForwardCross:
         img_pt = rand_img(rng)
         cross = forward_cross(
             params, [img_m, img_pt], [(0, 1, build_class_bias(3, {0, 1, 2}))],
-        ).logits[2].data
+        )[2].data
         # With every token-attention output projection at 0, a plain pass
         # leaves the tokens to the residual connection, as full masking does.
         silent = params.copy()
         for layer in range(TINY.decoder_layers):
             silent[f"dec.{layer}.sa.wo"].data[:] = 0.0
-        reference = forward(silent, [img_m]).logits[0].data
+        reference = forward(silent, [img_m])[0].data
         assert np.abs(cross - reference).max() < 1e-9
 
     def test_distinct_branches_differ_from_plain_forward(self):
@@ -337,8 +341,8 @@ class TestForwardCross:
         img_pt = rand_img(rng)
         cross = forward_cross(
             params, [img_m, img_pt], [(0, 1, build_class_bias(3, set()))],
-        ).logits[2].data
-        plain = forward(params, [img_m]).logits[0].data
+        )[2].data
+        plain = forward(params, [img_m])[0].data
         assert np.abs(cross - plain).max() > 1e-9
 
     def test_gradient_of_cross_loss(self):
@@ -350,8 +354,8 @@ class TestForwardCross:
         bias = build_class_bias(3, {1})
 
         def loss_of():
-            trace = forward_cross(params, [img_m, img_pt], [(0, 1, bias)])
-            return cross_entropy_pixelwise(trace.logits[2], label)
+            logits = forward_cross(params, [img_m, img_pt], [(0, 1, bias)])
+            return cross_entropy_pixelwise(logits[2], label)
 
         assert_grads_match_fd(params, loss_of,
                               ["dec.0.sa.wq", "dec.1.sa.wk", "backbone.1.w", "query_embed"])
@@ -373,7 +377,7 @@ class TestBatchedDecoder:
         """Logits of both branches' own blocks and of the cross blocks, and their summed loss."""
         batch = len(mains)
         cross = [(b, batch + b, build_class_bias(3, s)) for b, s in enumerate(sampled)]
-        logits = forward_cross(params, mains + conds, cross).logits
+        logits = forward_cross(params, mains + conds, cross)
         total = None
         for out, label in zip(logits, labels * 3):
             term = cross_entropy_pixelwise(out, label)
@@ -396,7 +400,7 @@ class TestBatchedDecoder:
         params.zero_grad()
         logits, total = self._passes(params, mains, conds, sampled, labels)
         ag.backward(total)
-        grads = {name: params[name].grad.copy() for name in params.names()}
+        grads = {name: t.grad.copy() for name, t in params.tensors.items()}
 
         single_logits = [[] for _ in range(3)]
         summed = {name: np.zeros_like(g) for name, g in grads.items()}
@@ -436,10 +440,10 @@ class TestBatchedDecoder:
         params = init_params(ModelConfig(), seed=3)
         rng = np.random.default_rng(34)
         imgs = [rand_img(rng, 64) for _ in range(6)]
-        alone = [forward(params, [img]).logits[0].data for img in imgs]
+        alone = [forward(params, [img])[0].data for img in imgs]
         for chunk in (2, 3, 6):
             for start in range(0, len(imgs), chunk):
-                batched = forward(params, imgs[start:start + chunk]).logits
+                batched = forward(params, imgs[start:start + chunk])
                 for got, want in zip(batched, alone[start:start + chunk]):
                     assert np.array_equal(got.data, want)
 
@@ -449,9 +453,9 @@ class TestBatchedDecoder:
         imgs = [rand_img(rng, 32) for _ in range(4)]
         cross = [(0, 2, build_class_bias(5, {1})), (3, 3, build_class_bias(5, set())),
                  (0, 1, build_class_bias(5, {0, 2, 4})), (2, 0, build_class_bias(5, range(5)))]
-        batched = forward_cross(params, imgs, cross).logits[len(imgs):]
+        batched = forward_cross(params, imgs, cross)[len(imgs):]
         for got, (main, cond, bias) in zip(batched, cross):
-            want = forward_cross(params, [imgs[main], imgs[cond]], [(0, 1, bias)]).logits[2]
+            want = forward_cross(params, [imgs[main], imgs[cond]], [(0, 1, bias)])[2]
             assert np.abs(got.data - want.data).max() <= 1e-12
 
 
@@ -472,15 +476,44 @@ class TestPredict:
 
 
 class TestCheckpoint:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.osseg"
+        save_checkpoint(path, init_params(TINY, seed=0))
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """A file whose write stores half the bytes, then fails as a full disk does."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(segmodel, "open", lambda *a, **kw: HalfWrite(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, init_params(TINY, seed=1))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.osseg"]
+
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(ModelConfig(), seed=9)
         path = tmp_path / "model.osseg"
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
         assert loaded.config == params.config
-        assert loaded.names() == params.names()
-        for name in params.names():
-            assert np.array_equal(loaded[name].data, params[name].data)
+        assert list(loaded.tensors) == list(params.tensors)
+        for name, t in params.tensors.items():
+            assert np.array_equal(loaded[name].data, t.data)
         save_checkpoint(tmp_path / "again.osseg", loaded)
         assert (tmp_path / "model.osseg").read_bytes() == (tmp_path / "again.osseg").read_bytes()
 
@@ -511,9 +544,9 @@ class TestCheckpoint:
                         + blob[10 + cfg_len:])
         loaded = load_checkpoint(old)
         assert loaded.config == params.config
-        assert loaded.names() == params.names()
-        for name in params.names():
-            assert np.array_equal(loaded[name].data, params[name].data)
+        assert list(loaded.tensors) == list(params.tensors)
+        for name, t in params.tensors.items():
+            assert np.array_equal(loaded[name].data, t.data)
 
     @pytest.mark.parametrize("old,new", [
         (b"heads=1", b"heads=0"),

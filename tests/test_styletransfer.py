@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from osseg import cli, styletransfer
 from osseg.errors import ArgumentError, DimensionError, NumericError
-from osseg.styletransfer import FdaConfig, _window_bounds, build_pseudo_target, fda_stylize, swap_mask
+from osseg.styletransfer import _window_bounds, build_pseudo_target, fda_stylize, swap_mask
 from osseg.synthdata import DomainSample, DomainTag, SceneSpec, TARGET_PALETTE, generate_dataset, generate_sample
 
 
@@ -53,12 +53,14 @@ def textured(rng, h, w):
 
 class TestConfig:
     def test_beta_bounds(self):
-        FdaConfig(beta=0.0)
-        FdaConfig(beta=1.0)
-        with pytest.raises(ArgumentError):
-            FdaConfig(beta=1.5)
-        with pytest.raises(ArgumentError):
-            FdaConfig(beta=-0.1)
+        img = np.zeros((8, 8, 3))
+        fda_stylize(img, img, beta=0.0)
+        fda_stylize(img, img, beta=1.0)
+        for beta in (1.5, -0.1):
+            with pytest.raises(ArgumentError):
+                fda_stylize(img, img, beta=beta)
+            with pytest.raises(ArgumentError):
+                build_pseudo_target([], img, beta=beta)
 
 
 class TestFdaStylize:
@@ -66,19 +68,19 @@ class TestFdaStylize:
         rng = np.random.default_rng(0)
         src = rng.random((8, 8, 3))
         ref = rng.random((8, 8, 3))
-        out = fda_stylize(src, ref, FdaConfig(beta=0.0))
+        out = fda_stylize(src, ref, beta=0.0)
         assert np.abs(out - src).max() < 1e-9
 
     def test_self_reference_is_identity(self):
         rng = np.random.default_rng(1)
         src = rng.random((8, 8, 3)) * 0.8 + 0.1
-        out = fda_stylize(src, src, FdaConfig(beta=0.5))
+        out = fda_stylize(src, src, beta=0.5)
         assert np.abs(out - src).max() < 1e-9
 
     def test_dc_swap_on_constant_images(self):
         src = np.full((4, 4, 3), 0.5)
         ref = np.full((4, 4, 3), 0.25)
-        out = fda_stylize(src, ref, FdaConfig(beta=0.25))
+        out = fda_stylize(src, ref, beta=0.25)
         assert np.abs(out - 0.25).max() < 1e-9
 
     def test_dc_amplitude_is_hw_times_value(self):
@@ -96,7 +98,7 @@ class TestFdaStylize:
             rng = np.random.default_rng(size)
             src = rng.random((size, size, 3))
             ref = rng.random((size, size, 3))
-            out = fda_stylize(src, ref, FdaConfig(beta=beta))
+            out = fda_stylize(src, ref, beta=beta)
             window = swap_mask(size, size, beta)
             for ch in range(3):
                 f_src = np.fft.fftshift(dft2_direct(src[:, :, ch]))
@@ -113,7 +115,7 @@ class TestFdaStylize:
         src = rng.random((8, 8, 3)) * 0.2 + 0.4
         ref = rng.random((8, 8, 3)) * 0.2 + 0.4
         beta = 0.25
-        out = fda_stylize(src, ref, FdaConfig(beta=beta))
+        out = fda_stylize(src, ref, beta=beta)
         window = swap_mask(8, 8, beta)
         for ch in range(3):
             amp_out = np.abs(np.fft.fftshift(np.fft.fft2(out[:, :, ch])))
@@ -147,17 +149,17 @@ class TestFdaStylize:
         rng = np.random.default_rng(4)
         src = rng.random((8, 8, 3))
         ref = rng.random((16, 16, 3))
-        out = fda_stylize(src, ref, FdaConfig(beta=0.25))
+        out = fda_stylize(src, ref, beta=0.25)
         assert out.shape == src.shape
 
     def test_non_finite_rejected(self):
         src = np.full((4, 4, 3), np.inf)
         with pytest.raises(NumericError):
-            fda_stylize(src, np.zeros((4, 4, 3)), FdaConfig(beta=0.1))
+            fda_stylize(src, np.zeros((4, 4, 3)), beta=0.1)
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(DimensionError):
-            fda_stylize(np.zeros((4, 4)), np.zeros((4, 4, 3)), FdaConfig())
+            fda_stylize(np.zeros((4, 4)), np.zeros((4, 4, 3)), )
 
     def test_never_reads_labels(self):
         # fda_stylize's signature takes only images: this is a static
@@ -165,8 +167,8 @@ class TestFdaStylize:
         rng = np.random.default_rng(5)
         src = rng.random((8, 8, 3))
         ref = rng.random((8, 8, 3))
-        a = fda_stylize(src, ref, FdaConfig(beta=0.3))
-        b = fda_stylize(src, ref, FdaConfig(beta=0.3))
+        a = fda_stylize(src, ref, beta=0.3)
+        b = fda_stylize(src, ref, beta=0.3)
         assert np.array_equal(a, b)
 
 
@@ -177,7 +179,7 @@ class TestWindowOnlyDft:
     def test_matches_full_fft_swap(self, h, w, ref_h, ref_w, beta, seed):
         rng = np.random.default_rng(seed)
         src, ref = textured(rng, h, w), textured(rng, ref_h, ref_w)
-        out = fda_stylize(src, ref, FdaConfig(beta=beta))
+        out = fda_stylize(src, ref, beta=beta)
         assert out.shape == src.shape
         assert np.abs(out - fda_full_fft(src, ref, beta)).max() <= 1e-12
 
@@ -190,7 +192,7 @@ class TestWindowOnlyDft:
         rng = np.random.default_rng(2)
         data = [DomainSample(textured(rng, 16, 16), np.zeros((16, 16), np.uint8),
                              DomainTag.SOURCE) for _ in range(2)]
-        assert len(build_pseudo_target(data, textured(rng, 16, 16), FdaConfig(beta=0.3))) == 2
+        assert len(build_pseudo_target(data, textured(rng, 16, 16), beta=0.3)) == 2
 
 
 class TestBuildPseudoTarget:
@@ -200,7 +202,7 @@ class TestBuildPseudoTarget:
     def test_labels_preserved_bit_exactly(self):
         data = generate_dataset(SceneSpec(seed=6), 4)
         ref = generate_sample(SceneSpec(palette=TARGET_PALETTE, seed=7), 0).image
-        out = build_pseudo_target(data, ref, FdaConfig(beta=0.1))
+        out = build_pseudo_target(data, ref, beta=0.1)
         assert len(out) == 4
         for src, pt in zip(data, out):
             assert np.array_equal(src.label, pt.label)
@@ -219,7 +221,7 @@ class TestBuildPseudoTarget:
         ref = generate_sample(
             SceneSpec(palette=TARGET_PALETTE, seed=9), 0
         ).image
-        styled = build_pseudo_target(data, ref, FdaConfig(beta=0.05))
+        styled = build_pseudo_target(data, ref, beta=0.05)
         src_mean = np.mean([s.image.mean() for s in data])
         styled_mean = np.mean([s.image.mean() for s in styled])
         ref_mean = ref.mean()
@@ -231,13 +233,12 @@ class TestBuildPseudoTarget:
         data = [DomainSample(textured(rng, h, w), np.zeros((h, w), np.uint8), DomainTag.SOURCE)
                 for h, w in sizes]
         ref = textured(rng, 20, 20)
-        cfg = FdaConfig(beta=0.2)
-        expect = [fda_stylize(s.image, ref, cfg) for s in data]
+        expect = [fda_stylize(s.image, ref, beta=0.2) for s in data]
         resized = []
         resize = styletransfer._resize_bilinear
         monkeypatch.setattr(styletransfer, "_resize_bilinear",
                             lambda img, h, w: resized.append((h, w)) or resize(img, h, w))
-        out = build_pseudo_target(data, ref, cfg)
+        out = build_pseudo_target(data, ref, beta=0.2)
         assert all(np.array_equal(a, b.image) for a, b in zip(expect, out))
         assert sorted(resized) == sorted(set(sizes))
 

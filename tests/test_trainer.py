@@ -109,7 +109,7 @@ class TestPseudoLabel:
         # instead run on real params and just check argmax agreement below.
         img = np.random.default_rng(0).random((16, 16, 3))
         from osseg.segmodel import forward
-        logits = forward(params, [img]).logits[0].data
+        logits = forward(params, [img])[0].data
         pred = pseudo_label(params, [img])[0]
         assert np.array_equal(pred, logits.argmax(axis=0))
 
@@ -129,7 +129,7 @@ class TestPseudoLabel:
         fq[2, 0] = 10.0
         img = np.random.default_rng(1).random((16, 16, 3))
         from osseg.segmodel import forward
-        logits = forward(params, [img]).logits[0].data
+        logits = forward(params, [img])[0].data
         assert (logits[2] > np.delete(logits, 2, axis=0).max(axis=0)).all()
         assert (pseudo_label(params, [img])[0] == 2).all()
 
@@ -143,7 +143,7 @@ class TestPseudoLabel:
         params = init_params(TINY_MODEL, seed=3)
         img = np.random.default_rng(3).random((16, 16, 3))
         from osseg.segmodel import forward
-        logits = forward(params, [img]).logits[0].data
+        logits = forward(params, [img])[0].data
         pred = pseudo_label(params, [img])[0]
         for i in range(16):
             for j in range(16):
@@ -254,9 +254,8 @@ class TestFlatParameters:
     def test_tensors_are_views_of_the_flat_vectors(self):
         params = init_params(TINY_MODEL, seed=0).trainable(True)
         assert params.flat.shape == params.grad.shape == (
-            sum(params[name].size for name in params.names()),)
-        for name in params.names():
-            t = params[name]
+            sum(t.size for t in params.tensors.values()),)
+        for name, t in params.tensors.items():
             assert np.shares_memory(t.data, params.flat), name
             assert np.shares_memory(t.grad, params.grad), name
         params.zero_grad()
@@ -269,7 +268,7 @@ class TestFlatParameters:
         params = init_params(TINY_MODEL, seed=0).trainable(True)
         clone = params.copy()
         assert clone.grad is None and not np.shares_memory(clone.flat, params.flat)
-        for name in params.names():
+        for name in params.tensors:
             assert not np.shares_memory(clone[name].data, params[name].data), name
             assert np.array_equal(clone[name].data, params[name].data), name
             assert clone[name].grad is None and not clone[name].requires_grad
@@ -295,7 +294,7 @@ class TestTrain:
         teacher, log = train(cfg, small_data(), model_config=TINY_MODEL)
         fresh = init_params(TINY_MODEL, seed=cfg.seed)
         assert log == []
-        for name in fresh.names():
+        for name in fresh.tensors:
             assert np.array_equal(teacher[name].data, fresh[name].data)
 
     def test_deterministic_given_seed(self):
@@ -303,7 +302,7 @@ class TestTrain:
         t1, log1 = train(cfg, small_data(), model_config=TINY_MODEL)
         t2, log2 = train(cfg, small_data(), model_config=TINY_MODEL)
         assert log1 == log2
-        for name in t1.names():
+        for name in t1.tensors:
             assert np.array_equal(t1[name].data, t2[name].data)
 
     def test_empty_dataset_rejected(self):
