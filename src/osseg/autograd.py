@@ -11,9 +11,10 @@ Constants (``requires_grad=False`` inputs with no differentiable parents)
 produce outputs with no recorded rule, so inference-only passes build no
 graph at all.
 
-Correctness, not throughput, is the contract; convolution uses cached im2col
-gather indices and upsampling cached 2-tap interpolation matrices, so that
-desk-scale training stays fast enough.
+Correctness, not throughput, is the contract; convolution copies its
+channel-major columns out of one strided view (only its input gradient
+reads a cached scatter index) and upsampling uses cached 2-tap
+interpolation matrices, so that desk-scale training stays fast enough.
 """
 
 import functools
@@ -70,10 +71,10 @@ def _as_tensor(x):
 def _node(data, parents, backward_fn):
     """Wrap `data` as the output of an op; records the rule only if needed."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._backward_fn = True, tuple(parents), backward_fn
+            break
     return out
 
 
@@ -217,12 +218,15 @@ def relu(a):
 
 def _masked_softmax(x):
     """Softmax over the last axis of the array `x` (the rules of `softmax_lastdim`)."""
+    if (x > MASK_THRESHOLD).all():  # no mask and no NaN: the same values, in fewer passes
+        e = x - x.max(axis=-1, keepdims=True)
+        np.minimum(np.maximum(e, -745.0, out=e), 50.0, out=e)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
     if np.isnan(x).any():
         raise NumericError("softmax input contains NaN")
     masked = x <= MASK_THRESHOLD
-    if not masked.any():  # the same values as below, in fewer passes
-        e = np.exp(np.clip(x - x.max(axis=-1, keepdims=True), -745.0, 50.0))
-        return e / e.sum(axis=-1, keepdims=True)
     row_alive = ~masked.all(axis=-1, keepdims=True)
     live_vals = np.where(masked, -np.inf, x)
     row_max = np.where(row_alive, live_vals.max(axis=-1, initial=-np.inf, keepdims=True), 0.0)
@@ -289,18 +293,18 @@ def block_attention(q, k, v, keys, key_rows, bias=None, scale=None, heads=1):
     gradients.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    keys = np.asarray(keys, dtype=np.intp).reshape(-1)
-    blocks = keys.size
+    keys = [int(j) for j in keys]
+    blocks = len(keys)
     fits = (q.data.ndim == k.data.ndim == v.data.ndim == 2 and blocks > 0
             and q.shape[0] % blocks == 0 and k.shape[1] == q.shape[1]
             and v.shape[0] == k.shape[0] and key_rows >= 1 and k.shape[0] % key_rows == 0
             and heads >= 1 and q.shape[1] % heads == 0 and v.shape[1] % heads == 0)
     key_blocks = k.shape[0] // key_rows if fits else 0
-    own = fits and blocks == key_blocks and (keys == np.arange(blocks)).all()
-    if not (own or fits and keys.min() >= 0 and keys.max() < key_blocks):
+    own = fits and keys == list(range(key_blocks))
+    if not (own or fits and min(keys) >= 0 and max(keys) < key_blocks):
         raise DimensionError(
             f"block_attention: queries {tuple(q.shape)}, keys {tuple(k.shape)} and values "
-            f"{tuple(v.shape)} do not split into blocks {keys.tolist()} of {key_rows} key rows "
+            f"{tuple(v.shape)} do not split into blocks {keys} of {key_rows} key rows "
             f"and {heads} heads"
         )
     n = q.shape[0] // blocks
@@ -352,9 +356,10 @@ def layernorm_lastdim(x, gamma, beta, eps=1e-5):
             f"layernorm affine shapes {tuple(gamma.shape)}/{tuple(beta.shape)} "
             f"do not match feature size {n}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # add.reduce / n is what .mean computes, bit for bit, without its overhead.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = gamma.data * xhat + beta.data
@@ -363,8 +368,8 @@ def layernorm_lastdim(x, gamma, beta, eps=1e-5):
         dxhat = g * gamma.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
         )
         _accumulate(x, dx)
         lead = tuple(range(g.ndim - 1))
@@ -376,31 +381,13 @@ def layernorm_lastdim(x, gamma, beta, eps=1e-5):
 
 @functools.lru_cache(maxsize=32)
 def _conv_indices(c_in, h, w, k, stride, pad):
-    """im2col gather indices; the 32 most recent input shapes stay cached."""
+    """Offsets in the flat padded input of conv2d's (c, dy, dx, oy, ox) column
+    entries, for its input gradient; the 32 most recent shapes stay cached."""
     hp, wp = h + 2 * pad, w + 2 * pad
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (w + 2 * pad - k) // stride + 1
-    oy = np.arange(h_out) * stride
-    ox = np.arange(w_out) * stride
-    dy = np.arange(k)
-    dx = np.arange(k)
-    rows = (oy[:, None, None, None] + dy[None, None, :, None])  # h_out,1,k,1
-    cols = (ox[None, :, None, None] + dx[None, None, None, :])  # 1,w_out,1,k
-    spatial = rows * wp + cols  # h_out,w_out,k,k
-    chan = np.arange(c_in) * (hp * wp)
-    idx = spatial[:, :, None, :, :] + chan[None, None, :, None, None]
-    idx = idx.reshape(h_out * w_out, c_in * k * k)
-    return idx, h_out, w_out, hp, wp
-
-
-def _im2col(arr, idx, pad, hp, wp):
-    c = arr.shape[0]
-    if pad:
-        xp = np.zeros((c, hp, wp))
-        xp[:, pad:pad + arr.shape[1], pad:pad + arr.shape[2]] = arr
-    else:
-        xp = arr
-    return xp.reshape(-1)[idx]
+    rows = np.arange(k)[:, None, None, None] + stride * np.arange((hp - k) // stride + 1)[:, None]
+    cols = np.arange(k)[:, None, None] + stride * np.arange((wp - k) // stride + 1)
+    chan = np.arange(c_in)[:, None, None, None, None] * (hp * wp)
+    return (chan + rows * wp + cols).reshape(-1)
 
 
 def conv2d(x, w, stride=1, pad=0):
@@ -426,21 +413,30 @@ def conv2d(x, w, stride=1, pad=0):
         raise ConfigurationError(
             f"conv2d kernel {k}x{k} does not fit input {h}x{wd} padded by {pad}"
         )
-    idx, h_out, w_out, hp, wp = _conv_indices(c_in, h, wd, k, stride, pad)
-    cols = _im2col(x.data, idx, pad, hp, wp)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    h_out, w_out = (hp - k) // stride + 1, (wp - k) // stride + 1
+    if pad:
+        xp = np.zeros((c_in, hp, wp))
+        xp[:, pad:pad + h, pad:pad + wd] = x.data
+    else:
+        xp = np.ascontiguousarray(x.data)
+    # Row (c, dy, dx): channel c at offset (dy, dx) of every output position, copied
+    # once out of a strided view (numpy checks it against xp's size).
+    cols = np.ndarray((c_in, k, k, h_out, w_out), np.float64, xp, 0,
+                      (8 * hp * wp, 8 * wp, 8, 8 * stride * wp, 8 * stride)
+                      ).reshape(c_in * k * k, h_out * w_out)
+    del xp  # before the product allocates: held, it made glibc trim and refault the heap
     w_mat = w.data.reshape(c_out, -1)
-    out = (cols @ w_mat.T).T.reshape(c_out, h_out, w_out)
+    out = (w_mat @ cols).reshape(c_out, h_out, w_out)
 
     def bw(g):
-        g_mat = g.reshape(c_out, -1).T  # (h_out*w_out, c_out)
+        g_mat = g.reshape(c_out, -1)  # (c_out, h_out*w_out)
         if w.requires_grad:
-            _accumulate(w, (g_mat.T @ cols).reshape(w.shape))
+            _accumulate(w, (g_mat @ cols.T).reshape(w.shape))
         if x.requires_grad:
-            # Scatter-add each im2col entry's gradient back to its source.
-            g_cols = g_mat @ w_mat  # (h_out*w_out, c_in*k*k)
-            flat = np.bincount(
-                idx.reshape(-1), weights=g_cols.reshape(-1), minlength=c_in * hp * wp
-            )
+            # Scatter-add each column entry's gradient back to its source.
+            flat = np.bincount(_conv_indices(c_in, h, wd, k, stride, pad),
+                               weights=(w_mat.T @ g_mat).reshape(-1), minlength=c_in * hp * wp)
             gx = flat.reshape(c_in, hp, wp)
             if pad:
                 gx = gx[:, pad:pad + h, pad:pad + wd]
@@ -472,7 +468,7 @@ def bilinear_upsample2x(x):
     if x.data.ndim != 3:
         raise DimensionError(f"bilinear_upsample2x expects (C,H,W), got {tuple(x.shape)}")
     u_h, u_w = _upsample_matrix(x.shape[1]), _upsample_matrix(x.shape[2])
-    out = u_h @ x.data @ u_w.T
+    out = u_h @ (x.data.reshape(-1, x.shape[2]) @ u_w.T).reshape(x.shape[0], x.shape[1], -1)
 
     def bw(g):
         _accumulate(x, u_h.T @ g @ u_w)

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import io
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import evalmetrics, gradcheck, styletransfer, synthdata, trainer
 from .errors import ArgumentError, OssegError
-from .segmodel import label_maps, load_checkpoint, predict, save_checkpoint
+from .segmodel import label_maps, load_checkpoint, predict, save_checkpoint, write_atomic
 from .synthdata import (
     SOURCE_PALETTE,
     TARGET_PALETTE,
@@ -72,24 +73,28 @@ def cmd_mix(args):
     for n, (i, j, c) in enumerate(zip(idx_i, idx_j, crops)):
         pl, gt = c.pseudo_label, c.acceptor.label  # no pl under a ground-truth mix
         hits = np.empty(0) if pl is None else (pl == gt)[gt != synthdata.IGNORE]
-        with open(os.path.join(args.out_dir, "mix", f"mix_{n}.txt"), "w", encoding="utf-8") as f:
-            f.write(f"donor_i = {i}\nacceptor_j = {j}\n"
-                    f"classes = {','.join(str(k) for k in sorted(c.classes))}\n"
-                    f"pasted_fraction = {float(c.mask.mean())!r}\n"
-                    f"pseudo_label_accuracy = {float(hits.mean()) if hits.size else 'nan'}\n")
+        write_atomic(os.path.join(args.out_dir, "mix", f"mix_{n}.txt"), (
+            f"donor_i = {i}\nacceptor_j = {j}\n"
+            f"classes = {','.join(str(k) for k in sorted(c.classes))}\n"
+            f"pasted_fraction = {float(c.mask.mean())!r}\n"
+            f"pseudo_label_accuracy = {float(hits.mean()) if hits.size else 'nan'}\n").encode())
     return {"seed": cfg.seed}
+
+
+def _write_csv(path, rows):
+    """`rows` as a UTF-8 CSV file (the csv module's dialect), written atomically."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def cmd_train(args):
     cfg = trainer.parse_config_file(args.config)
     teacher, log = trainer.train(cfg, _read_train_data(args.data_root))
     save_checkpoint(args.out, teacher)
-    with open(args.log, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "l_pt", "l_idr", "l_cd", "l_total"])
-        for step, rep in enumerate(log):
-            writer.writerow([step, repr(rep.l_pt), repr(rep.l_idr),
-                             repr(rep.l_cd), repr(rep.l_total)])
+    _write_csv(args.log, [["step", "l_pt", "l_idr", "l_cd", "l_total"]]
+               + [[step, repr(rep.l_pt), repr(rep.l_idr), repr(rep.l_cd), repr(rep.l_total)]
+                  for step, rep in enumerate(log)])
     return {**dataclasses.asdict(cfg), "pairing": cfg.pairing.value,
             **dataclasses.asdict(teacher.config)}
 
@@ -135,12 +140,9 @@ def cmd_eval(args):
         for sample, pred in zip(chunk, label_maps(params, [s.image for s in chunk])):
             evalmetrics.accumulate(total, pred, sample.label)
     report = evalmetrics.iou_report(total, subset=subset)
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        for c, iou in enumerate(report.per_class):
-            writer.writerow([c, "" if iou is None else repr(iou)])
-        writer.writerow(["miou", repr(report.miou)])
-        writer.writerow(["miou_subset", repr(report.miou_subset)])
+    _write_csv(args.out, [[c, "" if iou is None else repr(iou)]
+                          for c, iou in enumerate(report.per_class)]
+               + [["miou", repr(report.miou)], ["miou_subset", repr(report.miou_subset)]])
 
 
 def _label_colors(num_classes):
@@ -222,8 +224,7 @@ def _run(args):
     lines += [f"{k} = {v}" for k, v in sorted(fields.items())]
     manifest = (os.path.join(outputs[0], "run_manifest.txt") if args.dirs
                 else f"{outputs[0]}.manifest.txt")
-    with open(manifest, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 

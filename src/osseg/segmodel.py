@@ -386,12 +386,16 @@ def save_checkpoint(path, params):
         nb, shape = name.encode("utf-8"), t.data.shape
         parts += [struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape),
                   t.data.astype("<f8").tobytes()]
-    # Written beside the target and renamed over it, so a failed write
-    # leaves any previous checkpoint whole.
+    write_atomic(path, b"".join(parts))
+
+
+def write_atomic(path, data):
+    """Every file osseg writes: `data` goes beside `path`, then `os.replace`s it, so no
+    reader sees part of a file and a failed write leaves the old one, no temporary."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join(parts))
+            f.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

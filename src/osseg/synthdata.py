@@ -21,6 +21,7 @@ import numpy as np
 from .autograd import IGNORE_LABEL as IGNORE
 from .errors import ArgumentError, FormatError, ValidationError
 from .rng import derive_rng
+from .segmodel import write_atomic
 
 SKY, GROUND, BUILDING, VEHICLE, VEGETATION = 0, 1, 2, 3, 4
 
@@ -232,8 +233,7 @@ def _read_pnm(path, magic, channels):
 
 def _write_pnm(path, magic, data):
     """A binary PNM file (maxval 255) of the uint8 array `data`, (H, W) or (H, W, 3)."""
-    with open(path, "wb") as f:
-        f.write(b"%s\n%d %d\n255\n" % (magic, data.shape[1], data.shape[0]) + data.tobytes())
+    write_atomic(path, b"%s\n%d %d\n255\n" % (magic, data.shape[1], data.shape[0]) + data.tobytes())
 
 
 def write_image(path, img):
@@ -276,8 +276,7 @@ def write_dataset(root, split, samples):
         write_image(os.path.join(root, img_rel), sample.image)
         write_label(os.path.join(root, lbl_rel), sample.label)
         lines.append(f"{img_rel}\t{lbl_rel}")
-    with open(os.path.join(root, "manifest.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(os.path.join(root, "manifest.txt"), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_dataset(root, num_classes=None, domain_tag=DomainTag.SOURCE):

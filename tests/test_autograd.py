@@ -65,6 +65,18 @@ class TestSoftmax:
     def test_gradient(self):
         check_op_gradient(ag.softmax_lastdim, [(4, 5)], seed=2)
 
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 20), spread=st.sampled_from([1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_fast_path_is_the_masked_path_bit_for_bit(self, rows, cols, spread, seed):
+        # A masked entry in one extra row sends every row down the masked path;
+        # a spread of 1e3 makes both paths clip.
+        x = spread * np.random.default_rng(seed).standard_normal((rows, cols))
+        extra = np.zeros((1, cols))
+        extra[0, 0] = ag.MASKED_SENTINEL
+        masked_path = ag._masked_softmax(np.concatenate([x, extra]))[:rows]
+        assert np.array_equal(ag._masked_softmax(x), masked_path)
+
     def test_gradient_with_partial_mask(self):
         def build(x):
             bias = np.zeros((3, 4))
@@ -73,7 +85,40 @@ class TestSoftmax:
         check_op_gradient(build, [(3, 4)], seed=3)
 
 
+@st.composite
+def _attention_cases(draw):
+    """(keys, key_blocks, key_rows, n, heads, d, dv, bias, scale, seed): query blocks of n
+    rows on random, often shared, key blocks; the bias None, or with masked entries and
+    fully masked rows."""
+    heads, key_blocks = draw(st.sampled_from([1, 2])), draw(st.integers(1, 3))
+    keys = draw(st.lists(st.integers(0, key_blocks - 1), min_size=1, max_size=4))
+    key_rows, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d, dv = heads * draw(st.integers(1, 2)), heads * draw(st.integers(1, 2))
+    scale = draw(st.none() | st.floats(0.1, 2.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bias = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(seed + 1)
+        bias = rng.standard_normal((len(keys), n, key_rows))
+        bias[rng.random(bias.shape) < 0.3] = ag.MASKED_SENTINEL
+        bias[rng.random(bias.shape[:2]) < 0.3] = ag.MASKED_SENTINEL
+    return keys, key_blocks, key_rows, n, heads, d, dv, bias, scale, seed
+
+
 class TestBlockAttention:
+    # Each block on its own keys (no gather), then two blocks sharing one.
+    @example(case=([0, 1], 2, 2, 2, 2, 2, 2, None, None, 0))
+    @example(case=([1, 1], 2, 3, 2, 1, 2, 1, None, 0.5, 1))
+    @given(case=_attention_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_fuzz(self, case):
+        keys, key_blocks, key_rows, n, heads, d, dv, bias, scale, seed = case
+        err = check_op(
+            lambda q, k, v: ag.block_attention(q, k, v, keys, key_rows, bias, scale, heads),
+            [(len(keys) * n, d), (key_blocks * key_rows, d), (key_blocks * key_rows, dv)],
+            np.random.default_rng(seed))
+        assert err < GATE, f"rel error {err}"
+
     @staticmethod
     def _reference(q, k, v, keys, key_rows, bias, scale):
         """Per query block, softmax_lastdim(scale * Q_b K_j^T + bias[b]) V_j."""
@@ -161,6 +206,33 @@ class TestConv2d:
                        [(c_in, h, w), (c_out, c_in, k, k)], np.random.default_rng(seed))
         assert err < GATE, f"rel error {err}"
 
+    @staticmethod
+    def _direct(x, w, stride, pad):
+        """Every output entry as a nested sum over (c, dy, dx) of the zero-padded input."""
+        c_in, h, wd = x.shape
+        c_out, _, k, _ = w.shape
+        xp = np.zeros((c_in, h + 2 * pad, wd + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + wd] = x
+        out = np.zeros((c_out, (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1))
+        for o, oy, ox in np.ndindex(*out.shape):
+            for c, dy, dx in np.ndindex(c_in, k, k):
+                out[o, oy, ox] += w[o, c, dy, dx] * xp[c, oy * stride + dy, ox * stride + dx]
+        return out
+
+    @example(case=(1, 1, 3, 1, 1, 1, 1, 0))
+    @example(case=(2, 0, 3, 3, 3, 2, 1, 1))
+    @example(case=(2, 1, 3, 7, 8, 2, 2, 2))
+    @given(case=_conv_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_matches_direct_sum(self, case):
+        stride, pad, k, h, w, c_in, c_out, seed = case
+        rng = np.random.default_rng(seed)
+        x, wt = rng.standard_normal((c_in, h, w)), rng.standard_normal((c_out, c_in, k, k))
+        out = ag.conv2d(Tensor(x), Tensor(wt), stride=stride, pad=pad).data
+        # Relative to each entry's sum of term magnitudes, which bounds its rounding.
+        magnitude = self._direct(np.abs(x), np.abs(wt), stride, pad)
+        assert np.all(np.abs(out - self._direct(x, wt, stride, pad)) <= 1e-12 * magnitude)
+
     def test_ones_times_two(self):
         x = Tensor(np.ones((1, 3, 3)))
         w = Tensor(np.full((1, 1, 1, 1), 2.0))
@@ -237,6 +309,21 @@ class TestLayerNorm:
     def test_gradient(self):
         check_op_gradient(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], seed=16)
 
+    @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2), n=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_gradient_fuzz_and_mean_reference(self, lead, n, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, n)
+        err = check_op(ag.layernorm_lastdim, [shape, (n,), (n,)], rng)
+        assert err < GATE, f"rel error {err}"
+        x, gamma, beta = rng.standard_normal(shape), rng.standard_normal(n), rng.standard_normal(n)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        want = gamma * (centered * (1.0 / np.sqrt(var + 1e-5))) + beta
+        got = ag.layernorm_lastdim(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert np.array_equal(got, want)
+
 
 class TestBilinearUpsample:
     def test_constant_stays_constant(self):
@@ -246,6 +333,15 @@ class TestBilinearUpsample:
 
     def test_gradient(self):
         check_op_gradient(ag.bilinear_upsample2x, [(2, 3, 4)], seed=17, tol=1e-5)
+
+    @example(c=1, h=1, w=3, seed=0)
+    @example(c=2, h=4, w=1, seed=1)
+    @given(c=st.integers(1, 2), h=st.integers(1, 5), w=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_gradient_fuzz(self, c, h, w, seed):
+        err = check_op(ag.bilinear_upsample2x, [(c, h, w)], np.random.default_rng(seed))
+        assert err < GATE, f"rel error {err}"
 
     @staticmethod
     def _two_tap(x):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import os
@@ -688,6 +689,65 @@ class TestRunManifests:
         assert got["color_out"] == "None" and "sha256.color_out" not in got
         assert got["sha256.out"] == sha256(pred)
         assert sorted(os.listdir(tmp_path)) == ["pred.pgm", "pred.pgm.manifest.txt"]
+
+
+class HalfWrite:
+    """A file whose write stores half the bytes, then fails as a full disk does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestAtomicOutputs:
+    """A write that fails partway leaves the previous output and no temporary file."""
+
+    @staticmethod
+    def _argv(pipeline, tmp_path, command, second):
+        """`command`'s arguments, writing into tmp_path/out; the second run writes
+        other bytes than the first."""
+        data, ckpt, out = pipeline / "data", str(pipeline / "ckpt.osseg"), tmp_path / "out"
+        if command == "train":
+            cfg = tmp_path / f"cfg{int(second)}.txt"
+            cfg.write_text(f"iterations = {1 + second}\n")
+            return ["train", "--config", str(cfg), "--data-root", str(data),
+                    "--out", str(out / "ckpt.osseg"), "--log", str(out / "train.csv")]
+        if command == "eval":
+            return ["eval", "--ckpt", ckpt, "--data-root", str(data / "targets"),
+                    "--subset", "0,2" if second else "", "--out", str(out / "report.csv")]
+        image = data / "targets" / "target" / f"img_{int(second)}.ppm"
+        return ["infer", "--ckpt", ckpt, "--image", str(image),
+                "--out", str(out / "pred.pgm"), "--color-out", str(out / "pred.ppm")]
+
+    @pytest.mark.parametrize("command, target", [
+        ("train", "train.csv"), ("eval", "report.csv"), ("infer", "pred.pgm"),
+        ("infer", "pred.ppm")])
+    def test_failed_write_keeps_previous_output(self, pipeline, tmp_path, monkeypatch,
+                                                command, target):
+        out = tmp_path / "out"
+        assert run(*self._argv(pipeline, tmp_path, command, False)) == 0
+        before, names = (out / target).read_bytes(), sorted(os.listdir(out))
+        prefix = f"{out / target}."
+
+        def half_open(path, *args, **kwargs):
+            f = open(path, *args, **kwargs)
+            return HalfWrite(f) if os.fspath(path).startswith(prefix) else f
+
+        # Every output goes through segmodel.write_atomic; only `target` fails.
+        monkeypatch.setattr(segmodel, "open", half_open, raising=False)
+        assert run(*self._argv(pipeline, tmp_path, command, True)) == 1
+        monkeypatch.undo()
+        assert (out / target).read_bytes() == before
+        assert sorted(os.listdir(out)) == names
 
 
 def snapshot(root):
