@@ -17,12 +17,20 @@ reads a cached scatter index) and upsampling uses cached 2-tap
 interpolation matrices, so that desk-scale training stays fast enough.
 """
 
+import ctypes
 import functools
 import itertools
+import sys
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError, ValidationError
+
+# A training step frees its graph (megabytes) and the next allocates it again; glibc
+# would hand it back to the kernel and page-fault it in anew, ~500 faults a step at a
+# cost that swings with the machine's load. Keep 1 GiB free heap; mmap only >= 32 MiB.
+if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
+    _libc.mallopt(-1, 1 << 30), _libc.mallopt(-3, 32 << 20)  # M_TRIM/M_MMAP_THRESHOLD
 
 # Additive-mask sentinel standing in for -inf; softmax treats anything at or
 # below MASK_THRESHOLD as fully masked.
@@ -190,9 +198,7 @@ def concat_rows(parts):
     """
     parts = [_as_tensor(p) for p in parts]
     if not parts or any(p.data.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
-        raise DimensionError(
-            f"concat_rows: incompatible shapes {[tuple(p.shape) for p in parts]}"
-        )
+        raise DimensionError(f"concat_rows: incompatible shapes {[tuple(p.shape) for p in parts]}")
     if len(parts) == 1:
         return parts[0]
     data = np.concatenate([p.data for p in parts], axis=0)
@@ -425,7 +431,7 @@ def conv2d(x, w, stride=1, pad=0):
     cols = np.ndarray((c_in, k, k, h_out, w_out), np.float64, xp, 0,
                       (8 * hp * wp, 8 * wp, 8, 8 * stride * wp, 8 * stride)
                       ).reshape(c_in * k * k, h_out * w_out)
-    del xp  # before the product allocates: held, it made glibc trim and refault the heap
+    del xp  # before the product allocates its output, so the op's peak stays lower
     w_mat = w.data.reshape(c_out, -1)
     out = (w_mat @ cols).reshape(c_out, h_out, w_out)
 

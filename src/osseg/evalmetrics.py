@@ -60,9 +60,7 @@ def iou_report(cm, subset=None):
         raise ArgumentError(f"subset {sorted(subset)} out of range for {n} classes")
     tp = np.diag(cm.counts).astype(np.float64)
     union = cm.counts.sum(axis=1) + cm.counts.sum(axis=0) - np.diag(cm.counts)
-    per_class = [
-        float(tp[c] / union[c]) if union[c] > 0 else None for c in range(n)
-    ]
+    per_class = [float(tp[c] / union[c]) if union[c] > 0 else None for c in range(n)]
     scored = [v for v in per_class if v is not None]
     miou = float(np.mean(scored)) if scored else 0.0
     subset_scored = [per_class[c] for c in sorted(subset) if per_class[c] is not None]

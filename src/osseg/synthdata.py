@@ -156,9 +156,7 @@ def _generate_label(spec, rng):
                 col = None
                 for _ in range(40):
                     cand = int(rng.integers(0, w - vw))
-                    if all(
-                        cand + vw + 8 <= b[1] or cand >= b[1] + b[3] + 8 for b in buildings
-                    ):
+                    if all(cand + vw + 8 <= b[1] or cand >= b[1] + b[3] + 8 for b in buildings):
                         col = cand
                         break
                 if col is None:
@@ -257,9 +255,7 @@ def read_label(path, num_classes=None):
         bad = (data >= num_classes) & (data != IGNORE)
         if bad.any():
             value = int(data[bad][0])
-            raise ValidationError(
-                f"{path}: label value {value} >= num_classes {num_classes}"
-            )
+            raise ValidationError(f"{path}: label value {value} >= num_classes {num_classes}")
     return data
 
 

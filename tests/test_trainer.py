@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -400,6 +403,19 @@ class TestConvIndexCache:
         again = ag._conv_indices.cache_info()
         assert again.misses == first.misses
         assert again.hits > first.hits
+
+
+class TestWarmSteps:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc settings")
+    def test_a_warm_train_call_does_not_page_fault(self):
+        # With glibc's default trimming a 32x32 step page-faulted about 500 times;
+        # autograd's mallopt call keeps the freed heap for the next call to reuse.
+        cfg = quick_cfg(iterations=10, crop=32, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
+        data = small_data()
+        train(cfg, data)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(cfg, data)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20 * cfg.iterations
 
 
 class TestConfigFile:
