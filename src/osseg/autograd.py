@@ -11,10 +11,12 @@ Constants (``requires_grad=False`` inputs with no differentiable parents)
 produce outputs with no recorded rule, so inference-only passes build no
 graph at all.
 
-Correctness, not throughput, is the contract; convolution copies its
-channel-major columns out of one strided view (only its input gradient
-reads a cached scatter index) and upsampling uses cached 2-tap
-interpolation matrices, so that desk-scale training stays fast enough.
+Correctness, not throughput, is the contract. Still, desk-scale training
+is bound by per-op Python overhead, so the one convolution op also adds
+its bias and applies a ReLU (every conv of the network is followed by
+both), as one node; it copies its channel-major columns out of one
+strided view (only its input gradient reads a cached scatter index), and
+upsampling uses cached 2-tap interpolation matrices.
 """
 
 import ctypes
@@ -396,15 +398,17 @@ def _conv_indices(c_in, h, w, k, stride, pad):
     return (chan + rows * wp + cols).reshape(-1)
 
 
-def conv2d(x, w, stride=1, pad=0):
-    """2-D cross-correlation with zero padding.
+def conv2d(x, w, b, stride=1, pad=0):
+    """relu(cross-correlation + bias) with zero padding, as one node.
 
     x: (C_in, H, W); w: (C_out, C_in, k, k) with odd k, no larger than the
-    padded input. Floor semantics, as in PyTorch: the output holds positions
-    0, stride, 2*stride, ... of the stride-1 correlation, so its size is
-    (H + 2*pad - k) // stride + 1 per axis.
+    padded input; b: (C_out, 1, 1). Floor semantics, as in PyTorch: the
+    output holds positions 0, stride, 2*stride, ... of the stride-1
+    correlation, so its size is (H + 2*pad - k) // stride + 1 per axis.
+    Every conv of the network is followed by its bias and a ReLU, so the
+    three are one op: the bias is added and the ReLU applied in place.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError(
             f"conv2d expects (C,H,W) and (C_out,C_in,k,k), got {tuple(x.shape)} and {tuple(w.shape)}"
@@ -413,6 +417,8 @@ def conv2d(x, w, stride=1, pad=0):
     c_out, c_in_w, k, k2 = w.shape
     if c_in != c_in_w or k != k2:
         raise DimensionError(f"conv2d: weight shape {tuple(w.shape)} does not match input {tuple(x.shape)}")
+    if b.shape != (c_out, 1, 1):
+        raise DimensionError(f"conv2d: bias shape {tuple(b.shape)} is not {(c_out, 1, 1)}")
     if k % 2 != 1:
         raise ConfigurationError(f"conv2d kernel size must be odd, got {k}")
     if k > h + 2 * pad or k > wd + 2 * pad:
@@ -434,8 +440,13 @@ def conv2d(x, w, stride=1, pad=0):
     del xp  # before the product allocates its output, so the op's peak stays lower
     w_mat = w.data.reshape(c_out, -1)
     out = (w_mat @ cols).reshape(c_out, h_out, w_out)
+    out += b.data
+    np.maximum(out, 0.0, out=out)
 
     def bw(g):
+        g = g * (out > 0)  # ReLU's mask: out > 0 exactly where its input was
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
         g_mat = g.reshape(c_out, -1)  # (c_out, h_out*w_out)
         if w.requires_grad:
             _accumulate(w, (g_mat @ cols.T).reshape(w.shape))
@@ -448,7 +459,7 @@ def conv2d(x, w, stride=1, pad=0):
                 gx = gx[:, pad:pad + h, pad:pad + wd]
             _accumulate(x, gx)
 
-    return _node(out, (x, w), bw)
+    return _node(out, (x, w, b), bw)
 
 
 @functools.lru_cache(maxsize=32)

@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from . import evalmetrics, gradcheck, styletransfer, synthdata, trainer
 from .errors import ArgumentError, OssegError
-from .segmodel import label_maps, load_checkpoint, predict, save_checkpoint, write_atomic
+from .segmodel import (claim_outputs, label_maps, load_checkpoint, predict, recording_reads,
+                       save_checkpoint, write_atomic)
 from .synthdata import (
     SOURCE_PALETTE,
     TARGET_PALETTE,
@@ -66,14 +67,16 @@ def cmd_mix(args):
     source, pseudo = trainer.prepare_data(cfg, _read_train_data(args.data_root))
     teacher = load_checkpoint(args.ckpt)
     idx_i, idx_j, *batches, rng = next(trainer.step_draws(cfg, source, pseudo))
+    sidecars = [os.path.join(args.out_dir, "mix", f"mix_{n}.txt") for n in range(len(idx_i))]
+    claim_outputs(sidecars)
     crops = trainer.build_crops(teacher, *batches, rng, cfg)
     if crops[0].mixed is None:
         raise ArgumentError(f"{args.config}: a step of this config builds no mixed crop")
     write_dataset(args.out_dir, "mix", [c.mixed for c in crops])
-    for n, (i, j, c) in enumerate(zip(idx_i, idx_j, crops)):
+    for path, i, j, c in zip(sidecars, idx_i, idx_j, crops):
         pl, gt = c.pseudo_label, c.acceptor.label  # no pl under a ground-truth mix
         hits = np.empty(0) if pl is None else (pl == gt)[gt != synthdata.IGNORE]
-        write_atomic(os.path.join(args.out_dir, "mix", f"mix_{n}.txt"), (
+        write_atomic(path, (
             f"donor_i = {i}\nacceptor_j = {j}\n"
             f"classes = {','.join(str(k) for k in sorted(c.classes))}\n"
             f"pasted_fraction = {float(c.mask.mean())!r}\n"
@@ -90,7 +93,9 @@ def _write_csv(path, rows):
 
 def cmd_train(args):
     cfg = trainer.parse_config_file(args.config)
-    teacher, log = trainer.train(cfg, _read_train_data(args.data_root))
+    data = _read_train_data(args.data_root)
+    claim_outputs()  # every input is read: an output that names one fails before training
+    teacher, log = trainer.train(cfg, data)
     save_checkpoint(args.out, teacher)
     _write_csv(args.log, [["step", "l_pt", "l_idr", "l_cd", "l_total"]]
                + [[step, repr(rep.l_pt), repr(rep.l_idr), repr(rep.l_cd), repr(rep.l_total)]
@@ -100,12 +105,11 @@ def cmd_train(args):
 
 
 # `osseg eval` runs one forward pass per chunk of at most this many pixels,
-# or per larger image. A pass holds each image's pixel embeddings and logits
-# until it ends (about 430 KB per 64x64 image). With 16-image chunks glibc
-# handed that memory back after each chunk and the next one page-faulted it
-# in again; 2-image chunks do not, and gained 13% over one image per pass
-# where 16-image chunks gained 7%.
-EVAL_CHUNK_PIXELS = 2 * 64 * 64
+# or per larger image. Each pass costs a fixed Python overhead, so larger
+# chunks are faster; the bound caps the memory a pass holds, each image's
+# pixel embeddings and logits until it ends: about 430 KB per 64x64 image at
+# 5 classes, growing with the class count.
+EVAL_CHUNK_PIXELS = 16 * 64 * 64
 
 
 def _chunks(samples):
@@ -135,6 +139,7 @@ def cmd_eval(args):
         raise ArgumentError(f"{args.data_root}: manifest.txt lists no samples")
     if all((s.label == synthdata.IGNORE).all() for s in data):
         raise ArgumentError(f"{args.data_root}: every label pixel is {synthdata.IGNORE} (ignore)")
+    claim_outputs()  # every input is read
     total = evalmetrics.ConfusionMatrix(n)
     for chunk in _chunks(data):
         for sample, pred in zip(chunk, label_maps(params, [s.image for s in chunk])):
@@ -187,9 +192,14 @@ def _run(args):
     or directories if `dirs`); an unset one is skipped. Before any work, two
     paths with one `os.path.realpath`, or an output directory inside a
     directory it reads, are a usage error, a file output that is a
-    directory fails, and the outputs' parents are made. The manifest,
-    named after the first output, lists the parsed arguments, the settings
-    dict the command returns and the SHA-256 of each path that is a file.
+    directory fails, and the outputs' parents are made. While the command
+    runs, replacing a file that it read is a usage error (`recording_reads`),
+    so an output inside a read directory cannot clobber one of its inputs;
+    the check of every declared file output, the manifest included, comes
+    at the first write, before any output is touched.
+    The manifest, named after the first output, lists the parsed arguments,
+    the settings dict the command returns and the SHA-256 of each path that
+    is a file.
     """
     paths = {dest: getattr(args, dest) for dest in args.reads + args.writes
              if getattr(args, dest)}
@@ -210,21 +220,25 @@ def _run(args):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     for path in outputs:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    declared = []  # the files it writes that are known before it runs
+    if outputs:
+        manifest = (os.path.join(outputs[0], "run_manifest.txt") if args.dirs
+                    else f"{outputs[0]}.manifest.txt")
+        declared = ([] if args.dirs else outputs) + [manifest]
     started = time.time()
-    settings = args.func(args) or {}
-    if not outputs:
-        return 0
-    fields = {k: v for k, v in vars(args).items()
-              if k not in ("command", "func", "reads", "writes", "dirs")}
-    fields.update(settings)
-    fields.update({f"sha256.{dest}": _sha256(path) for dest, path in paths.items()
-                   if os.path.isfile(path)})
-    lines = [f"command = {args.command}", f"build = osseg-{__version__}",
-             f"wall_time_s = {time.time() - started:.3f}"]
-    lines += [f"{k} = {v}" for k, v in sorted(fields.items())]
-    manifest = (os.path.join(outputs[0], "run_manifest.txt") if args.dirs
-                else f"{outputs[0]}.manifest.txt")
-    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
+    with recording_reads(declared):
+        settings = args.func(args) or {}
+        if not outputs:
+            return 0
+        fields = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "reads", "writes", "dirs")}
+        fields.update(settings)
+        fields.update({f"sha256.{dest}": _sha256(path) for dest, path in paths.items()
+                       if os.path.isfile(path)})
+        lines = [f"command = {args.command}", f"build = osseg-{__version__}",
+                 f"wall_time_s = {time.time() - started:.3f}"]
+        lines += [f"{k} = {v}" for k, v in sorted(fields.items())]
+        write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return 0
 
 

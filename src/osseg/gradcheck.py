@@ -93,11 +93,12 @@ def _op_checks(rng):
             [(6, 4), (6, 4), (6, 4)], rng) for heads in (1, 2))),
         ("ops.layernorm", lambda: check_op(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], rng)),
         ("ops.conv2d", lambda: check_op(
-            lambda x, w: ag.conv2d(x, w, stride=1, pad=1), [(2, 5, 5), (3, 2, 3, 3)], rng)),
+            lambda x, w, b: ag.conv2d(x, w, b, stride=1, pad=1),
+            [(2, 5, 5), (3, 2, 3, 3), (3, 1, 1)], rng)),
         # Odd input, and even input (the backbone's floor case).
         ("ops.conv2d_strided", lambda: max(check_op(
-            lambda x, w: ag.conv2d(x, w, stride=2, pad=1), [(2, h, h), (3, 2, 3, 3)], rng)
-            for h in (7, 8))),
+            lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1),
+            [(2, h, h), (3, 2, 3, 3), (3, 1, 1)], rng) for h in (7, 8))),
         ("ops.upsample2x", lambda: check_op(ag.bilinear_upsample2x, [(2, 3, 4)], rng)),
         ("ops.cross_entropy", lambda: check_op(
             lambda x: cross_entropy_pixelwise(x, label), [(3, 4, 4)], rng)),

@@ -23,6 +23,8 @@ is plain cross-domain attention. Fully masked rows produce zero attention
 output, so the residual connection carries those tokens through unchanged.
 """
 
+import contextlib
+import contextvars
 import math
 import os
 import struct
@@ -204,12 +206,9 @@ def _check_image(img):
 def _backbone_and_pixels(params, arr):
     x = Tensor(arr.transpose(2, 0, 1))
     for stage in range(3):
-        conv = ag.conv2d(x, params[f"backbone.{stage}.w"], stride=2, pad=1)
-        x = ag.relu(ag.add(conv, params[f"backbone.{stage}.b"]))
-    y = ag.bilinear_upsample2x(x)
-    y = ag.relu(ag.add(ag.conv2d(y, params["pixdec.0.w"], stride=1, pad=1), params["pixdec.0.b"]))
-    y = ag.bilinear_upsample2x(y)
-    e_pixel = ag.relu(ag.add(ag.conv2d(y, params["pixdec.1.w"], stride=1, pad=1), params["pixdec.1.b"]))
+        x = ag.conv2d(x, params[f"backbone.{stage}.w"], params[f"backbone.{stage}.b"], 2, 1)
+    y = ag.conv2d(ag.bilinear_upsample2x(x), params["pixdec.0.w"], params["pixdec.0.b"], 1, 1)
+    e_pixel = ag.conv2d(ag.bilinear_upsample2x(y), params["pixdec.1.w"], params["pixdec.1.b"], 1, 1)
     return x, e_pixel
 
 
@@ -389,9 +388,58 @@ def save_checkpoint(path, params):
     write_atomic(path, b"".join(parts))
 
 
+# While a command runs, the (device, inode) of each file it has read and the outputs
+# it declared that no write has checked yet; None outside a command. `cli._run` sets
+# it for its run, and every reader of an input adds to it. A context variable, so
+# that no other thread or task sees the run's.
+_READS = contextvars.ContextVar("osseg_reads", default=None)
+
+
+@contextlib.contextmanager
+def recording_reads(outputs=()):
+    """Within the block, `note_read` records the files read and `claim_outputs`
+    refuses to replace one of them. The first claim covers `outputs` as well: a
+    command reads all its inputs before it writes, so a declared output that names
+    an input fails before any output is touched."""
+    token = _READS.set((set(), list(outputs)))
+    try:
+        yield
+    finally:
+        _READS.reset(token)
+
+
+def note_read(f):
+    """Record the open file `f` as read by the running command, if one runs."""
+    run = _READS.get()
+    if run is not None:
+        st = os.fstat(f.fileno())
+        run[0].add((st.st_dev, st.st_ino))
+
+
+def claim_outputs(paths=()):
+    """A usage error if the running command read one of `paths`, or at its first
+    claim one of its declared outputs. A writer of several files claims them all
+    before it writes the first, and a command that works long after reading its
+    inputs claims once they are read."""
+    run = _READS.get()
+    if run is None:
+        return
+    reads, declared = run
+    for path in [*declared, *paths]:
+        try:
+            st = os.lstat(path)
+        except OSError:
+            continue  # nothing to replace; the write itself reports any other fault
+        if (st.st_dev, st.st_ino) in reads:
+            raise ArgumentError(f"refusing to replace {path}: this command read it")
+    declared.clear()
+
+
 def write_atomic(path, data):
     """Every file osseg writes: `data` goes beside `path`, then `os.replace`s it, so no
-    reader sees part of a file and a failed write leaves the old one, no temporary."""
+    reader sees part of a file and a failed write leaves the old one, no temporary.
+    Replacing a file the running command read is a usage error (`claim_outputs`)."""
+    claim_outputs([path])
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -410,6 +458,7 @@ def load_checkpoint(path):
     the last tensor.
     """
     with open(path, "rb") as f:
+        note_read(f)
         blob = f.read()
     if blob[:6] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint", offset=0)

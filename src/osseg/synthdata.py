@@ -21,7 +21,7 @@ import numpy as np
 from .autograd import IGNORE_LABEL as IGNORE
 from .errors import ArgumentError, FormatError, ValidationError
 from .rng import derive_rng
-from .segmodel import write_atomic
+from .segmodel import claim_outputs, note_read, write_atomic
 
 SKY, GROUND, BUILDING, VEHICLE, VEGETATION = 0, 1, 2, 3, 4
 
@@ -194,6 +194,7 @@ def _read_pnm(path, magic, channels):
     and any byte after the payload each raise FormatError.
     """
     with open(path, "rb") as f:
+        note_read(f)
         blob = f.read()
     if blob[:2] != magic:
         raise FormatError(f"{path}: expected magic {magic.decode()}", offset=0)
@@ -263,16 +264,16 @@ def read_label(path, num_classes=None):
 
 def write_dataset(root, split, samples):
     """Write samples under <root>/<split>/ and a manifest at <root>/manifest.txt."""
-    subdir = os.path.join(root, split)
-    os.makedirs(subdir, exist_ok=True)
-    lines = []
-    for i, sample in enumerate(samples):
-        img_rel = os.path.join(split, f"img_{i}.ppm")
-        lbl_rel = os.path.join(split, f"lbl_{i}.pgm")
+    rels = [(os.path.join(split, f"img_{i}.ppm"), os.path.join(split, f"lbl_{i}.pgm"))
+            for i in range(len(samples))]
+    manifest = os.path.join(root, "manifest.txt")
+    claim_outputs([os.path.join(root, rel) for pair in rels for rel in pair] + [manifest])
+    os.makedirs(os.path.join(root, split), exist_ok=True)
+    for (img_rel, lbl_rel), sample in zip(rels, samples):
         write_image(os.path.join(root, img_rel), sample.image)
         write_label(os.path.join(root, lbl_rel), sample.label)
-        lines.append(f"{img_rel}\t{lbl_rel}")
-    write_atomic(os.path.join(root, "manifest.txt"), ("\n".join(lines) + "\n").encode("utf-8"))
+    lines = [f"{img_rel}\t{lbl_rel}" for img_rel, lbl_rel in rels]
+    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_dataset(root, num_classes=None, domain_tag=DomainTag.SOURCE):
@@ -287,6 +288,7 @@ def read_dataset(root, num_classes=None, domain_tag=DomainTag.SOURCE):
         raise ArgumentError(f"no manifest.txt under {root}")
     samples = []
     with open(manifest, "rb") as f:
+        note_read(f)
         for ln, raw in enumerate(f, start=1):
             where = f"{manifest}:{ln}"
             try:

@@ -93,6 +93,7 @@ def parse_config_file(path):
     """UTF-8 `key = value` lines, each naming a TrainConfig field at most once."""
     values = {}
     with open(path, "rb") as f:
+        segmodel.note_read(f)
         for ln, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8").strip()

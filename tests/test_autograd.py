@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from osseg import autograd as ag
 from osseg.autograd import Tensor
 from osseg.errors import DimensionError, NumericError, ValidationError
-from osseg.gradcheck import GATE, check_op
+from osseg.gradcheck import GATE, check_op, fd_gradient, rel_error
 
 
 def check_op_gradient(build, shapes, seed, tol=1e-4, step=1e-6):
@@ -202,8 +202,9 @@ class TestConv2d:
     @settings(max_examples=60, deadline=None)
     def test_gradient_fuzz(self, case):
         stride, pad, k, h, w, c_in, c_out, seed = case
-        err = check_op(lambda x, wt: ag.conv2d(x, wt, stride=stride, pad=pad),
-                       [(c_in, h, w), (c_out, c_in, k, k)], np.random.default_rng(seed))
+        err = check_op(lambda x, wt, b: ag.conv2d(x, wt, b, stride=stride, pad=pad),
+                       [(c_in, h, w), (c_out, c_in, k, k), (c_out, 1, 1)],
+                       np.random.default_rng(seed))
         assert err < GATE, f"rel error {err}"
 
     @staticmethod
@@ -228,23 +229,55 @@ class TestConv2d:
         stride, pad, k, h, w, c_in, c_out, seed = case
         rng = np.random.default_rng(seed)
         x, wt = rng.standard_normal((c_in, h, w)), rng.standard_normal((c_out, c_in, k, k))
-        out = ag.conv2d(Tensor(x), Tensor(wt), stride=stride, pad=pad).data
-        # Relative to each entry's sum of term magnitudes, which bounds its rounding.
-        magnitude = self._direct(np.abs(x), np.abs(wt), stride, pad)
-        assert np.all(np.abs(out - self._direct(x, wt, stride, pad)) <= 1e-12 * magnitude)
+        b = rng.standard_normal((c_out, 1, 1))
+        out = ag.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, pad=pad).data
+        # ReLU is 1-Lipschitz, so each entry's rounding stays within its sum of term
+        # magnitudes.
+        magnitude = self._direct(np.abs(x), np.abs(wt), stride, pad) + np.abs(b)
+        want = np.maximum(self._direct(x, wt, stride, pad) + b, 0.0)
+        assert np.all(np.abs(out - want) <= 1e-12 * magnitude)
+
+    # Per-channel biases of both signs, large enough to switch whole channels
+    # off or on and to move the ReLU's kink across the others.
+    @given(bias=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4).filter(
+               lambda b: min(b) < 0.0 < max(b)),
+           stride=st.sampled_from((1, 2)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bias_straddling_zero(self, bias, stride, seed):
+        rng = np.random.default_rng(seed)
+        x, wt = rng.standard_normal((2, 5, 6)), rng.standard_normal((len(bias), 2, 3, 3))
+        b = np.array(bias).reshape(-1, 1, 1)
+        proj = rng.standard_normal(ag.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride, 1).shape)
+        tensors = [Tensor(a, requires_grad=True) for a in (x, wt, b)]
+        out = ag.conv2d(*tensors, stride, 1)
+        pre = self._direct(x, wt, stride, 1) + b
+        assert np.abs(out.data - np.maximum(pre, 0.0)).max() <= 1e-12 * np.abs(pre).max()
+        ag.backward(ag.matmul(ag.reshape(out, (1, -1)), Tensor(proj.reshape(-1, 1))))
+        # The masked gradient, summed over rows then columns, as `_unbroadcast` sums.
+        masked = proj * (out.data > 0)
+        assert np.array_equal(tensors[2].grad.reshape(-1), masked.sum(axis=1).sum(axis=1))
+
+        def scalar():
+            return float((ag.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride, 1).data
+                          * proj).sum())
+        for arr, t in zip((x, wt, b), tensors):
+            assert rel_error(t.grad, fd_gradient(scalar, arr, 1e-6)) < GATE
 
     def test_ones_times_two(self):
         x = Tensor(np.ones((1, 3, 3)))
         w = Tensor(np.full((1, 1, 1, 1), 2.0))
-        out = ag.conv2d(x, w, stride=1, pad=0)
-        assert np.array_equal(out.data, np.full((1, 3, 3), 2.0))
+        out = ag.conv2d(x, w, Tensor(np.full((1, 1, 1), 0.5)), stride=1, pad=0)
+        assert np.array_equal(out.data, np.full((1, 3, 3), 2.5))
+        out = ag.conv2d(x, w, Tensor(np.full((1, 1, 1), -3.0)), stride=1, pad=0)
+        assert np.array_equal(out.data, np.zeros((1, 3, 3)))
 
     def test_delta_kernel_is_identity(self):
+        # On a positive input, with a zero bias, so that the ReLU passes every entry.
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((1, 4, 4)))
+        x = Tensor(rng.random((1, 4, 4)) + 0.1)
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        out = ag.conv2d(x, Tensor(w), stride=1, pad=1)
+        out = ag.conv2d(x, Tensor(w), Tensor(np.zeros((1, 1, 1))), stride=1, pad=1)
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     @pytest.mark.parametrize("c_in,c_out,size", [(3, 8, 32), (8, 16, 16), (16, 32, 8), (3, 8, 64)])
@@ -253,33 +286,42 @@ class TestConv2d:
         rng = np.random.default_rng(size + c_in)
         x = Tensor(rng.standard_normal((c_in, size, size)))
         w = Tensor(rng.standard_normal((c_out, c_in, 3, 3)))
-        strided = ag.conv2d(x, w, stride=2, pad=1).data
-        full = ag.conv2d(x, w, stride=1, pad=1).data
+        b = Tensor(rng.standard_normal((c_out, 1, 1)))
+        strided = ag.conv2d(x, w, b, stride=2, pad=1).data
+        full = ag.conv2d(x, w, b, stride=1, pad=1).data
         assert strided.shape == (c_out, size // 2, size // 2)
         assert np.abs(strided - full[:, ::2, ::2]).max() <= 1e-13
 
     def test_kernel_larger_than_padded_input_rejected(self):
         from osseg.errors import ConfigurationError
+        b = Tensor(np.zeros((1, 1, 1)))
         with pytest.raises(ConfigurationError):
-            ag.conv2d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 1, 5, 5))), stride=2, pad=1)
+            ag.conv2d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 1, 5, 5))), b, 2, 1)
         with pytest.raises(ConfigurationError):
-            ag.conv2d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 1, 5, 5))), stride=1, pad=1)
+            ag.conv2d(Tensor(np.zeros((1, 4, 2))), Tensor(np.zeros((1, 1, 5, 5))), b, 1, 1)
 
     def test_even_kernel_rejected(self):
         from osseg.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            ag.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), stride=1, pad=0)
+            ag.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))),
+                      Tensor(np.zeros((1, 1, 1))), stride=1, pad=0)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 1, 1)])
+    def test_bias_shape_rejected(self, shape):
+        with pytest.raises(DimensionError, match="bias shape"):
+            ag.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((2, 1, 3, 3))),
+                      Tensor(np.zeros(shape)), stride=1, pad=1)
 
     def test_gradient(self):
         check_op_gradient(
-            lambda x, w: ag.conv2d(x, w, stride=1, pad=1), [(2, 5, 5), (3, 2, 3, 3)],
-            seed=5, tol=1e-5,
+            lambda x, w, b: ag.conv2d(x, w, b, stride=1, pad=1),
+            [(2, 5, 5), (3, 2, 3, 3), (3, 1, 1)], seed=5, tol=1e-5,
         )
 
     def test_gradient_strided(self):
         check_op_gradient(
-            lambda x, w: ag.conv2d(x, w, stride=2, pad=1), [(2, 7, 7), (3, 2, 3, 3)],
-            seed=6, tol=1e-5,
+            lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1),
+            [(2, 7, 7), (3, 2, 3, 3), (3, 1, 1)], seed=6, tol=1e-5,
         )
 
 
@@ -296,6 +338,18 @@ class TestElementwise:
     def test_transpose_reshape_concat(self):
         check_op_gradient(lambda a: ag.transpose(a), [(3, 5)], seed=11)
         check_op_gradient(lambda a: ag.reshape(a, (2, 6)), [(3, 4)], seed=12)
+
+    @given(rows=st.lists(st.integers(1, 4), min_size=1, max_size=5), cols=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_concat_rows_gradient_fuzz(self, rows, cols, seed):
+        parts = [np.random.default_rng(seed + i).standard_normal((r, cols))
+                 for i, r in enumerate(rows)]
+        out = ag.concat_rows([Tensor(p) for p in parts])
+        assert np.array_equal(out.data, np.concatenate(parts))
+        err = check_op(lambda *ps: ag.concat_rows(ps), [(r, cols) for r in rows],
+                       np.random.default_rng(seed))
+        assert err < GATE, f"rel error {err}"
 
 
 class TestLayerNorm:
@@ -427,6 +481,31 @@ class TestCrossEntropy:
     def test_bad_label_raises(self):
         with pytest.raises(ValidationError):
             ag.cross_entropy_pixelwise(Tensor(np.zeros((3, 1, 1))), np.array([[7]], dtype=np.uint8))
+
+    @example(n=3, h=2, w=3, ignored=[True] * 6, seed=0)
+    @given(n=st.integers(1, 4), h=st.integers(1, 3), w=st.integers(1, 3),
+           ignored=st.lists(st.booleans(), min_size=9, max_size=9),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_fuzz_over_ignore_patterns(self, n, h, w, ignored, seed):
+        rng = np.random.default_rng(seed)
+        label = rng.integers(0, n, (h, w)).astype(np.uint8)
+        skip = np.array(ignored[:h * w]).reshape(h, w)
+        label[skip] = ag.IGNORE_LABEL
+        logits = Tensor(rng.standard_normal((n, h, w)), requires_grad=True)
+        loss = ag.cross_entropy_pixelwise(logits, label)
+        ag.backward(loss)
+        if skip.all():
+            assert loss.item() == 0.0
+            assert logits.grad is None or not logits.grad.any()
+        else:
+            x = logits.data
+            log_p = x - np.log(np.exp(x).sum(axis=0))
+            ys, xs = np.nonzero(~skip)
+            assert abs(loss.item() + log_p[label[ys, xs], ys, xs].mean()) < 1e-12
+        err = check_op(lambda z: ag.cross_entropy_pixelwise(z, label), [(n, h, w)],
+                       np.random.default_rng(seed))
+        assert err < GATE, f"rel error {err}"
 
     def test_gradient(self):
         rng = np.random.default_rng(19)

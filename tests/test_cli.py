@@ -394,13 +394,13 @@ class TestEval:
         assert lines[6].startswith("miou_subset,")
 
     def test_chunks_label_like_per_image_predict(self, pipeline):
-        # 41 images of 64x64: 20 chunks of 2 and one of 1, then all at once.
+        # 41 images of 64x64: chunks of 16, 16 and 9, then all at once.
         params = load_checkpoint(pipeline / "ckpt.osseg")
         rng = np.random.default_rng(40)
         samples = [DomainSample(rng.random((64, 64, 3)), np.zeros((64, 64), np.uint8),
                                 DomainTag.TARGET) for _ in range(41)]
         chunks = list(cli._chunks(samples))
-        assert [len(c) for c in chunks] == [2] * 20 + [1]
+        assert [len(c) for c in chunks] == [16, 16, 9]
         want = [segmodel.predict(params, s.image) for s in samples]
         chunked = [m for c in chunks for m in segmodel.label_maps(params, [s.image for s in c])]
         at_once = segmodel.label_maps(params, [s.image for s in samples])
@@ -408,14 +408,19 @@ class TestEval:
             assert np.array_equal(got_chunked, pred) and np.array_equal(got_at_once, pred)
 
     def test_chunks_split_at_size_changes_and_the_pixel_limit(self):
-        assert cli.EVAL_CHUNK_PIXELS == 2 * 64 * 64
-        sizes = [64] * 5 + [32] * 9 + [64] + [128] * 2
+        assert cli.EVAL_CHUNK_PIXELS == 16 * 64 * 64
+        sizes = [64] * 5 + [32] * 70 + [64] + [256] * 2 + [512]
         samples = [DomainSample(np.zeros((s, s, 3)), np.zeros((s, s), np.uint8),
                                 DomainTag.TARGET) for s in sizes]
         chunks = list(cli._chunks(samples))
         assert [(c[0].label.shape[0], len(c)) for c in chunks] == [
-            (64, 2), (64, 2), (64, 1), (32, 8), (32, 1), (64, 1), (128, 1), (128, 1)]
+            (64, 5), (32, 64), (32, 6), (64, 1), (256, 1), (256, 1), (512, 1)]
         assert list(cli._chunks([])) == []
+
+    def test_a_run_of_more_than_16_images_at_64_splits_at_16(self):
+        samples = [DomainSample(np.zeros((64, 64, 3)), np.zeros((64, 64), np.uint8),
+                                DomainTag.TARGET) for _ in range(50)]
+        assert [len(c) for c in cli._chunks(samples)] == [16, 16, 16, 2]
 
     def test_mixed_sizes_match_per_image_predict(self, pipeline, tmp_path):
         data = tmp_path / "targets"
@@ -799,6 +804,77 @@ class TestPathCollisions:
         assert re.fullmatch(r"error: --[a-z-]+ (and --[a-z-]+ name the same path|[^\n]+ lies "
                             r"inside --[a-z-]+) [^\n]+\n", err)
         assert snapshot(tmp_path) == before
+
+
+class TestReadFilesAreNotReplaced:
+    """An output may lie inside a directory a command reads, but replacing a
+    file that the command read is a usage error, raised before any output is
+    written."""
+
+    CASES = {
+        "eval_out_is_test_manifest": ["eval", "--ckpt", "{tmp}/ckpt.osseg", "--data-root",
+                                      "{tmp}/tgt", "--out", "{tmp}/tgt/manifest.txt"],
+        "eval_out_is_listed_label": ["eval", "--ckpt", "{tmp}/ckpt.osseg", "--data-root",
+                                     "{tmp}/tgt", "--out", "{tmp}/tgt/target/lbl_1.pgm"],
+        "train_log_is_source_manifest": ["train", "--config", "{tmp}/cfg.txt", "--data-root",
+                                         "{tmp}/data", "--out", "{tmp}/data/ckpt.osseg",
+                                         "--log", "{tmp}/data/source/manifest.txt"],
+        "stylize_out_is_reference": ["stylize", "--src-dir", "{tmp}/data/source", "--reference",
+                                     "{tmp}/styled/pt/img_0.ppm", "--out-dir", "{tmp}/styled"],
+        # The last of the four images: written after three others without the up-front claim.
+        "stylize_later_out_is_reference": ["stylize", "--src-dir", "{tmp}/data/source",
+                                           "--reference", "{tmp}/styled/pt/img_3.ppm",
+                                           "--out-dir", "{tmp}/styled"],
+        # A sidecar, written after the mixed dataset without the up-front claim.
+        "mix_sidecar_is_config": ["mix", "--ckpt", "{tmp}/ckpt.osseg", "--config",
+                                  "{tmp}/mixed/mix/mix_1.txt", "--data-root", "{tmp}/data",
+                                  "--out-dir", "{tmp}/mixed"],
+    }
+
+    @staticmethod
+    def _inputs(pipeline, tmp_path):
+        shutil.copy(pipeline / "ckpt.osseg", tmp_path / "ckpt.osseg")
+        (tmp_path / "styled" / "pt").mkdir(parents=True)
+        for n in (0, 3):
+            shutil.copy(pipeline / "data" / "reference.ppm",
+                        tmp_path / "styled" / "pt" / f"img_{n}.ppm")
+        (tmp_path / "mixed" / "mix").mkdir(parents=True)
+        shutil.copy(pipeline / "cfg.txt", tmp_path / "mixed" / "mix" / "mix_1.txt")
+        (tmp_path / "cfg.txt").write_text("iterations = 1\ncrop = 32\n")
+        shutil.copytree(pipeline / "data" / "targets", tmp_path / "tgt")
+        shutil.copytree(pipeline / "data" / "source", tmp_path / "data" / "source")
+        shutil.copy(pipeline / "data" / "reference.ppm", tmp_path / "data" / "reference.ppm")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_replacing_a_read_file_is_a_usage_error(self, pipeline, tmp_path, capsys, case):
+        self._inputs(pipeline, tmp_path)
+        before = snapshot(tmp_path)
+        assert run(*[a.format(tmp=tmp_path) for a in self.CASES[case]]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: refusing to replace [^\n]+: this command read it\n", err)
+        assert snapshot(tmp_path) == before
+
+    def test_outputs_beside_the_read_files_are_written(self, pipeline, tmp_path):
+        self._inputs(pipeline, tmp_path)
+        before = snapshot(tmp_path)
+        assert run("train", "--config", str(tmp_path / "cfg.txt"), "--data-root",
+                   str(tmp_path / "data"), "--out", str(tmp_path / "data" / "ckpt.osseg"),
+                   "--log", str(tmp_path / "data" / "source" / "train.csv")) == 0
+        assert run("eval", "--ckpt", str(tmp_path / "ckpt.osseg"), "--data-root",
+                   str(tmp_path / "tgt"), "--out", str(tmp_path / "tgt" / "report.csv")) == 0
+        after = snapshot(tmp_path)
+        assert {k: after[k] for k in before} == before
+        assert {"data/ckpt.osseg", "data/source/train.csv", "tgt/report.csv"} <= {
+            str(k) for k in after}
+
+    def test_library_calls_record_nothing(self, pipeline, tmp_path):
+        # Outside a command, reading a dataset and writing it back in place works.
+        shutil.copytree(pipeline / "data" / "targets", tmp_path / "tgt")
+        before = snapshot(tmp_path / "tgt")
+        samples = synthdata.read_dataset(tmp_path / "tgt")
+        assert segmodel._READS.get() is None
+        synthdata.write_dataset(tmp_path / "tgt", "target", samples)
+        assert snapshot(tmp_path / "tgt") == before
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -511,7 +511,7 @@ class TestSharedTraces:
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
         assert self._count_calls(monkeypatch, cfg) == {
             "forward": 1, "forward_cross": 1, "decoder": 2, "conv2d": 30, "matmul": 58,
-            "bilinear_upsample2x": 20, "nodes": 167,
+            "bilinear_upsample2x": 20, "nodes": 127,
         }
 
     def test_variant_st_step_reuses_source_and_pt_traces(self, monkeypatch):
@@ -526,7 +526,7 @@ class TestSharedTraces:
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.NONE, use_idr=False)
         assert self._count_calls(monkeypatch, cfg) == {
             "forward": 1, "forward_cross": 0, "decoder": 1, "conv2d": 10, "matmul": 24,
-            "bilinear_upsample2x": 6, "nodes": 98,
+            "bilinear_upsample2x": 6, "nodes": 78,
         }
 
     @pytest.mark.parametrize("pairing", sorted(PINNED_LOSSES))
