@@ -5,18 +5,17 @@ gradient buffer. Every differentiable operation records its parents and a
 local backward rule on the output tensor; the resulting parent-link DAG is
 the computation graph. Tensor creation order equals topological order, so
 ``backward`` replays the reachable nodes exactly once in reverse creation
-order.
-
-Constants (``requires_grad=False`` inputs with no differentiable parents)
-produce outputs with no recorded rule, so inference-only passes build no
-graph at all.
+order. Constants (``requires_grad=False`` inputs with no differentiable
+parents) produce outputs with no recorded rule, so inference-only passes
+build no graph at all.
 
 Correctness, not throughput, is the contract. Still, desk-scale training
-is bound by per-op Python overhead, so the one convolution op also adds
-its bias and applies a ReLU (every conv of the network is followed by
-both), as one node; it copies its channel-major columns out of one
-strided view (only its input gradient reads a cached scatter index), and
-upsampling uses cached 2-tap interpolation matrices.
+is bound by per-op Python overhead, so the network's layers are fused ops
+of one node each: `conv2d` adds its bias and applies its ReLU,
+`block_attention` is an attention sublayer with its four projections,
+`layernorm_lastdim` adds the residual it normalises, `ffn` is the
+feed-forward sublayer and `block_logits` a block's class-pixel product
+with its 2x upsample. A full train step's graph has 63 nodes.
 """
 
 import ctypes
@@ -161,10 +160,8 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def bw(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
     return _node(data, (a, b), bw)
 
@@ -193,22 +190,24 @@ def reshape(a, shape):
 
 
 def concat_rows(parts):
-    """Stack 2-D tensors with equal column counts along rows (exact copy).
+    """Stack tensors along rows (an exact copy): a 2-D part as it is, a (C, H, W)
+    part as its H*W pixels' channel vectors, in pixel order.
 
-    Each part's gradient is its row slice of the output's. A single part is
-    returned as is.
+    Each part's gradient is its row slice of the output's. A single 2-D part
+    is returned as is.
     """
     parts = [_as_tensor(p) for p in parts]
-    if not parts or any(p.data.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+    rows = [p.data.reshape(p.shape[0], -1).T if p.data.ndim == 3 else p.data for p in parts]
+    if not parts or any(r.ndim != 2 or r.shape[1] != rows[0].shape[1] for r in rows):
         raise DimensionError(f"concat_rows: incompatible shapes {[tuple(p.shape) for p in parts]}")
-    if len(parts) == 1:
+    if len(parts) == 1 and parts[0].data.ndim == 2:
         return parts[0]
-    data = np.concatenate([p.data for p in parts], axis=0)
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+    data = np.concatenate(rows, axis=0)
+    bounds = list(itertools.accumulate([0] + [len(r) for r in rows]))
 
     def bw(g):
         for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            _accumulate(p, g[lo:hi])
+            _accumulate(p, g[lo:hi] if p.data.ndim == 2 else g[lo:hi].T.reshape(p.shape))
 
     return _node(data, parts, bw)
 
@@ -228,7 +227,7 @@ def _masked_softmax(x):
     """Softmax over the last axis of the array `x` (the rules of `softmax_lastdim`)."""
     if (x > MASK_THRESHOLD).all():  # no mask and no NaN: the same values, in fewer passes
         e = x - x.max(axis=-1, keepdims=True)
-        np.minimum(np.maximum(e, -745.0, out=e), 50.0, out=e)
+        np.maximum(e, -745.0, out=e)  # e <= 0: the clip's upper bound of 50 holds
         np.exp(e, out=e)
         e /= e.sum(axis=-1, keepdims=True)
         return e
@@ -282,43 +281,55 @@ def _join_heads(a, heads):
     return a.reshape(b, heads, rows, d).transpose(0, 2, 1, 3).reshape(b, rows, heads * d)
 
 
-def block_attention(q, k, v, keys, key_rows, bias=None, scale=None, heads=1):
-    """Attention of query blocks on key/value blocks, as one op.
+def _sum_into(parts, index, count):
+    """The adjoint of taking entries `index` of `count` along axis 0: each of
+    `parts` summed into its entry."""
+    out = np.zeros((count,) + parts.shape[1:])
+    np.add.at(out, index, parts)
+    return out
 
-    q holds len(keys) blocks of N rows each; k and v hold blocks of
-    `key_rows` rows. Query block b attends only to key/value block
-    j = keys[b]: its output rows are softmax(scale * Q_b K_j^T + bias[b]) V_j.
-    `bias` is an optional constant (blocks, N, key_rows) additive bias and
-    `scale` an optional factor on the logits. The softmax follows
-    `softmax_lastdim`: entries at or below MASK_THRESHOLD get zero weight,
-    a fully masked row outputs zero and a NaN raises NumericError. With
-    `heads` > 1, the channels of q, k and v split into that many equal
-    groups that attend as blocks of their own, all with the same bias, and
-    the outputs join back in group order.
 
-    All blocks go through stacked 3-D matmuls, so the cost is linear in the
-    number of blocks. A key block read by several query blocks sums their
+def block_attention(x, memory, wq, wk, wv, wo, keys, key_rows, bias=None, scale=None, heads=1,
+                    rows=None):
+    """An attention sublayer with its four projections, as one op: A W_o.
+
+    Q = x W_q, or its rows `rows` (a 1-D index) if given, holds len(keys)
+    blocks of N rows; K = memory W_k and V = memory W_v hold blocks of
+    `key_rows` rows. Query block b attends only to block j = keys[b]: its
+    rows of A are softmax(scale * Q_b K_j^T + bias[b]) V_j, with `bias` an
+    optional constant (blocks, N, key_rows) and `scale` an optional factor.
+    The softmax follows `softmax_lastdim`: masked entries get zero weight, a
+    fully masked row of A is zero and a NaN raises NumericError. With
+    `heads` > 1, the channels of Q, K and V split into that many groups that
+    attend as blocks of their own, with the same bias, and A joins them back.
+
+    Stacked 3-D matmuls keep the cost linear in the number of blocks. A key
+    block, or a row of x, that several query blocks or rows read sums their
     gradients.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    keys = [int(j) for j in keys]
-    blocks = len(keys)
-    fits = (q.data.ndim == k.data.ndim == v.data.ndim == 2 and blocks > 0
-            and q.shape[0] % blocks == 0 and k.shape[1] == q.shape[1]
-            and v.shape[0] == k.shape[0] and key_rows >= 1 and k.shape[0] % key_rows == 0
-            and heads >= 1 and q.shape[1] % heads == 0 and v.shape[1] % heads == 0)
-    key_blocks = k.shape[0] // key_rows if fits else 0
-    own = fits and keys == list(range(key_blocks))
-    if not (own or fits and min(keys) >= 0 and max(keys) < key_blocks):
-        raise DimensionError(
-            f"block_attention: queries {tuple(q.shape)}, keys {tuple(k.shape)} and values "
-            f"{tuple(v.shape)} do not split into blocks {keys} of {key_rows} key rows "
-            f"and {heads} heads"
-        )
-    n = q.shape[0] // blocks
-    qb = _split_heads(q.data.reshape(blocks, n, -1), heads)
-    kb = k.data.reshape(key_blocks, key_rows, -1)
-    vb = v.data.reshape(key_blocks, key_rows, -1)
+    x, memory, wq, wk, wv, wo = ts = tuple(map(_as_tensor, (x, memory, wq, wk, wv, wo)))
+    blocks, rows = len(keys), None if rows is None else np.asarray(rows, np.int64)
+    bias = None if bias is None else _as_tensor(bias).data
+    fits = all(t.data.ndim == 2 for t in ts) and blocks > 0 and key_rows >= 1 and heads >= 1
+    if fits:
+        (xr, xc), (mr, mc), (qi, d), (ki, kd), (vi, dv), (oi, _) = (t.data.shape for t in ts)
+        q_rows = xr if rows is None else rows.size
+        key_blocks = mr // key_rows
+        own = list(keys) == list(range(key_blocks))
+        fits = (xc == qi and mc == ki == vi and kd == d and oi == dv and q_rows % blocks == 0
+                and not (mr % key_rows or d % heads or dv % heads)
+                and (own or 0 <= min(keys) and max(keys) < key_blocks)
+                and (rows is None or rows.ndim == 1 and ((0 <= rows) & (rows < xr)).all())
+                and (bias is None or bias.shape == (blocks, q_rows // blocks, key_rows)))
+    if not fits:
+        raise DimensionError(f"block_attention: {[tuple(t.shape) for t in ts]} and bias "
+                             f"{None if bias is None else bias.shape} do not split into blocks "
+                             f"{list(keys)} of {key_rows} key rows and {heads} heads")
+    n = q_rows // blocks
+    q = x.data @ wq.data if rows is None else (x.data @ wq.data)[rows]
+    k, v = memory.data @ wk.data, memory.data @ wv.data
+    qb = _split_heads(q.reshape(blocks, n, -1), heads)
+    kb, vb = k.reshape(key_blocks, key_rows, -1), v.reshape(key_blocks, key_rows, -1)
     if not own:
         kb, vb = kb[keys], vb[keys]
     kb, vb = _split_heads(kb, heads), _split_heads(vb, heads)
@@ -326,47 +337,67 @@ def block_attention(q, k, v, keys, key_rows, bias=None, scale=None, heads=1):
     if scale is not None:
         logits *= scale
     if bias is not None:
-        bias = _as_tensor(bias).data
-        if bias.shape != (blocks, n, key_rows):
-            raise DimensionError(f"attention bias shape {tuple(bias.shape)} does not match "
-                                 f"logits {(blocks, n, key_rows)}")
         logits += bias if heads == 1 else np.repeat(bias, heads, axis=0)
     weights = _masked_softmax(logits)
-    out = _join_heads(weights @ vb, heads).reshape(q.shape[0], v.shape[1])
-
-    def key_sums(per_block, shape):
-        """Per key block, the sum of the query blocks' `per_block` entries."""
-        per_block = _join_heads(per_block, heads)
-        if own:
-            return per_block.reshape(shape)
-        scatter = np.zeros((key_blocks, blocks))
-        scatter[keys, np.arange(blocks)] = 1.0
-        return (scatter @ per_block.reshape(blocks, -1)).reshape(shape)
+    a = _join_heads(weights @ vb, heads).reshape(q_rows, -1)
 
     def bw(g):
-        gb = _split_heads(g.reshape(blocks, n, -1), heads)
+        _accumulate(wo, a.T @ g)
+        gb = _split_heads((g @ wo.data.T).reshape(blocks, n, -1), heads)
         gl = _softmax_backward(weights, gb @ vb.transpose(0, 2, 1))
         if scale is not None:
             gl *= scale
-        _accumulate(q, _join_heads(gl @ kb, heads).reshape(q.shape))
-        _accumulate(k, key_sums(gl.transpose(0, 2, 1) @ qb, k.shape))
-        _accumulate(v, key_sums(weights.transpose(0, 2, 1) @ gb, v.shape))
+        gq = _join_heads(gl @ kb, heads).reshape(q_rows, -1)
+        if rows is not None:
+            gq = _sum_into(gq, rows, len(x.data))
+        gk = _join_heads(gl.transpose(0, 2, 1) @ qb, heads)
+        gv = _join_heads(weights.transpose(0, 2, 1) @ gb, heads)
+        if not own:  # per key block, the sum over the query blocks that read it
+            gk, gv = _sum_into(gk, keys, key_blocks), _sum_into(gv, keys, key_blocks)
+        gk, gv = gk.reshape(k.shape), gv.reshape(v.shape)
+        _accumulate(wq, x.data.T @ gq)
+        _accumulate(wk, memory.data.T @ gk)
+        _accumulate(wv, memory.data.T @ gv)
+        _accumulate(x, gq @ wq.data.T)
+        _accumulate(memory, gk @ wk.data.T + gv @ wv.data.T)
 
-    return _node(out, (q, k, v), bw)
+    return _node(a @ wo.data, ts, bw)
 
 
-def layernorm_lastdim(x, gamma, beta, eps=1e-5):
-    """Layer normalization over the last dimension with affine parameters."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    n = x.shape[-1]
-    if gamma.shape != (n,) or beta.shape != (n,):
-        raise DimensionError(
-            f"layernorm affine shapes {tuple(gamma.shape)}/{tuple(beta.shape)} "
-            f"do not match feature size {n}"
-        )
+def ffn(x, w1, b1, w2, b2):
+    """relu(x w1 + b1) w2 + b2 over the rows of the 2-D x, as one node."""
+    x, w1, b1, w2, b2 = ts = tuple(map(_as_tensor, (x, w1, b1, w2, b2)))
+    if not (x.data.ndim == 2 and b1.data.ndim == b2.data.ndim == 1
+            and w1.data.shape == (x.data.shape[1], b1.size) and w2.data.shape == (b1.size, b2.size)):
+        raise DimensionError(f"ffn: shapes {[tuple(t.shape) for t in ts]} do not chain")
+    h = x.data @ w1.data + b1.data
+    mask = h > 0
+    h = np.where(mask, h, 0.0)
+
+    def bw(g):
+        _accumulate(w2, h.T @ g)
+        _accumulate(b2, g.sum(axis=0))
+        gh = (g @ w2.data.T) * mask
+        _accumulate(w1, x.data.T @ gh)
+        _accumulate(b1, gh.sum(axis=0))
+        _accumulate(x, gh @ w1.data.T)
+
+    return _node(h @ w2.data + b2.data, ts, bw)
+
+
+def layernorm_lastdim(x, residual, gamma, beta, eps=1e-5):
+    """Layer normalization of x + residual over the last dimension with affine
+    parameters: a residual connection and its norm, as one node."""
+    x, residual, gamma, beta = map(_as_tensor, (x, residual, gamma, beta))
+    n = x.data.shape[-1]
+    if residual.data.shape != x.data.shape or not gamma.data.shape == beta.data.shape == (n,):
+        shapes = [tuple(t.shape) for t in (residual, gamma, beta)]
+        raise DimensionError(f"layernorm: residual and affine shapes {shapes} do not match "
+                             f"input {tuple(x.shape)}")
+    s = x.data + residual.data
     # add.reduce / n is what .mean computes, bit for bit, without its overhead.
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    centered = x.data - mu
+    mu = np.add.reduce(s, axis=-1, keepdims=True) / n
+    centered = s - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
@@ -380,11 +411,12 @@ def layernorm_lastdim(x, gamma, beta, eps=1e-5):
             - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
         )
         _accumulate(x, dx)
+        _accumulate(residual, dx)
         lead = tuple(range(g.ndim - 1))
         _accumulate(gamma, (g * xhat).sum(axis=lead))
         _accumulate(beta, g.sum(axis=lead))
 
-    return _node(data, (x, gamma, beta), bw)
+    return _node(data, (x, residual, gamma, beta), bw)
 
 
 @functools.lru_cache(maxsize=32)
@@ -479,18 +511,44 @@ def _upsample_matrix(n):
     return u
 
 
+def _upsample2x(x):
+    """U_H @ x_c @ U_W^T per channel of the (C, H, W) array x; the adjoint is
+    U_H^T @ g_c @ U_W."""
+    u_h, u_w = _upsample_matrix(x.shape[1]), _upsample_matrix(x.shape[2])
+    return u_h @ (x.reshape(-1, x.shape[2]) @ u_w.T).reshape(x.shape[0], x.shape[1], -1)
+
+
 def bilinear_upsample2x(x):
     """Bilinear 2x upsampling of a (C, H, W) tensor: U_H @ x_c @ U_W^T per channel."""
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise DimensionError(f"bilinear_upsample2x expects (C,H,W), got {tuple(x.shape)}")
-    u_h, u_w = _upsample_matrix(x.shape[1]), _upsample_matrix(x.shape[2])
-    out = u_h @ (x.data.reshape(-1, x.shape[2]) @ u_w.T).reshape(x.shape[0], x.shape[1], -1)
+    _, h, w = x.shape
 
     def bw(g):
-        _accumulate(x, u_h.T @ g @ u_w)
+        _accumulate(x, _upsample_matrix(h).T @ g @ _upsample_matrix(w))
 
-    return _node(out, (x,), bw)
+    return _node(_upsample2x(x.data), (x,), bw)
+
+
+def block_logits(tokens, pixels, rows):
+    """bilinear_upsample2x of tokens[rows] @ pixels, as one node: the rows
+    `rows` (a slice) of the 2-D `tokens` times a (C, H, W) pixel map."""
+    tokens, pixels = _as_tensor(tokens), _as_tensor(pixels)
+    if tokens.data.ndim != 2 or pixels.data.ndim != 3 or tokens.shape[1] != pixels.shape[0]:
+        raise DimensionError(f"block_logits: rows of {tuple(tokens.shape)} do not match "
+                             f"pixels {tuple(pixels.shape)}")
+    c, h, w = pixels.shape
+    picked, flat = tokens.data[rows], pixels.data.reshape(c, h * w)
+
+    def bw(g):
+        gl = (_upsample_matrix(h).T @ g @ _upsample_matrix(w)).reshape(-1, h * w)
+        gt = np.zeros(tokens.shape)
+        gt[rows] = gl @ flat.T
+        _accumulate(tokens, gt)
+        _accumulate(pixels, (picked.T @ gl).reshape(pixels.shape))
+
+    return _node(_upsample2x((picked @ flat).reshape(-1, h, w)), (tokens, pixels), bw)
 
 
 def cross_entropy_pixelwise(logits, label):

@@ -74,8 +74,9 @@ def _op_checks(rng):
     label = rng.integers(0, 3, (4, 4)).astype(np.uint8)
     label[0, 0] = ag.IGNORE_LABEL
     # Three query blocks of 2 rows over two key blocks of 3 rows: blocks 0
-    # and 2 share key block 1; a class bias masks one key of block 0 and
-    # the whole second row of block 1, and shifts block 2's logits.
+    # and 2 share key block 1 and take block 1's query rows; a class bias
+    # masks one key of block 0 and the whole second row of block 1, and
+    # shifts block 2's logits.
     attn_bias = np.zeros((3, 2, 3))
     attn_bias[0, :, 1] = ag.MASKED_SENTINEL
     attn_bias[1, 1] = ag.MASKED_SENTINEL
@@ -89,9 +90,11 @@ def _op_checks(rng):
         ("ops.relu", lambda: check_op(ag.relu, [(4, 4)], rng)),
         ("ops.softmax", lambda: check_op(ag.softmax_lastdim, [(4, 5)], rng)),
         ("ops.attention", lambda: max(check_op(
-            lambda q, k, v: ag.block_attention(q, k, v, [1, 0, 1], 3, attn_bias, 0.5, heads),
-            [(6, 4), (6, 4), (6, 4)], rng) for heads in (1, 2))),
-        ("ops.layernorm", lambda: check_op(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], rng)),
+            lambda *ts: ag.block_attention(*ts, [1, 0, 1], 3, attn_bias, 0.5, heads,
+                                           [2, 3, 0, 1, 2, 3]),
+            [(6, 4), (6, 5), (4, 4), (5, 4), (5, 4), (4, 3)], rng) for heads in (1, 2))),
+        ("ops.layernorm", lambda: check_op(ag.layernorm_lastdim, [(3, 6)] * 2 + [(6,)] * 2, rng)),
+        ("ops.ffn", lambda: check_op(ag.ffn, [(3, 4), (4, 6), (6,), (6, 4), (4,)], rng)),
         ("ops.conv2d", lambda: check_op(
             lambda x, w, b: ag.conv2d(x, w, b, stride=1, pad=1),
             [(2, 5, 5), (3, 2, 3, 3), (3, 1, 1)], rng)),
@@ -100,10 +103,12 @@ def _op_checks(rng):
             lambda x, w, b: ag.conv2d(x, w, b, stride=2, pad=1),
             [(2, h, h), (3, 2, 3, 3), (3, 1, 1)], rng) for h in (7, 8))),
         ("ops.upsample2x", lambda: check_op(ag.bilinear_upsample2x, [(2, 3, 4)], rng)),
+        ("ops.block_logits", lambda: check_op(
+            lambda t, p: ag.block_logits(t, p, slice(2, 5)), [(6, 3), (3, 2, 3)], rng)),
         ("ops.cross_entropy", lambda: check_op(
             lambda x: cross_entropy_pixelwise(x, label), [(3, 4, 4)], rng)),
         ("ops.concat_rows", lambda: check_op(
-            lambda a, b, c: ag.concat_rows([a, b, c]), [(2, 3), (1, 3), (3, 3)], rng)),
+            lambda *ps: ag.concat_rows(ps), [(2, 3), (1, 3), (3, 2, 2)], rng)),
     ])
     return OrderedDict((name, fn()) for name, fn in checks.items())
 

@@ -11,13 +11,13 @@ embeddings first, at a fraction of the cost.
 A pass takes a list of equal-size images. The backbone and pixel decoder
 run per image; the transformer decoder runs once, over blocks of N class
 tokens stacked as rows: one block per image and, in the cross-domain pass,
-one more per cross entry. Every attention step is one call of the op
-`autograd.block_attention`, in which each query block attends only to its
-own key block, so the cost is linear in the number of blocks and every
-image's logits are those of a pass over it alone. With several heads the
-op splits the channels into equal groups itself. Among the class tokens
-attention is self-attention, or, for a cross block, takes its queries from
-another (conditioning) block and adds an N x N class bias that removes
+one more per cross entry. Each decoder sublayer, with its projections, is
+one node (`autograd.block_attention`, `ffn`), as are each add & norm and
+each block's logits. Each query block attends only to its own key block,
+so the cost is linear in the number of blocks and every image's logits
+are those of a pass over it alone. Among the class tokens attention is
+self-attention, or, for a cross block, takes its queries from another
+(conditioning) block's rows and adds an N x N class bias that removes
 every row and column indexed by a sampled class; with no class sampled it
 is plain cross-domain attention. Fully masked rows produce zero attention
 output, so the residual connection carries those tokens through unchanged.
@@ -212,9 +212,10 @@ def _backbone_and_pixels(params, arr):
     return x, e_pixel
 
 
-def _add_norm(params, name, tokens, contrib):
-    """Residual connection, then the layer norm `name`."""
-    return ag.layernorm_lastdim(ag.add(tokens, contrib), params[name + ".g"], params[name + ".b"])
+# The tensors of a decoder layer's sublayers and norms, in the order the ops take them.
+_SUBLAYER_TENSORS = [names.split() for names in (
+    "ca.wq ca.wk ca.wv ca.wo", "ln1.g ln1.b", "sa.wq sa.wk sa.wv sa.wo", "ln2.g ln2.b",
+    "ffn.w1 ffn.b1 ffn.w2 ffn.b2", "ln3.g ln3.b")]
 
 
 def _decoder(params, features, cross):
@@ -223,44 +224,36 @@ def _decoder(params, features, cross):
     Block b < S = len(features) belongs to image b; block S + c to cross
     entry c = (main, cond, bias). Each block's N class tokens are stacked
     as rows, ((S+C)*N, C_e), and the S image memories, flattened to
-    (H/8 * W/8, C_3) each, likewise, so image keys and values are computed
-    once per image: a block's image cross-attention reads its own image's,
-    a cross block `main`'s. Token attention runs within each block; a cross
-    block takes its queries from block `cond`'s own token-attention query
-    of the same layer, through a constant 0/1 pick, and adds its class
-    bias. Returns the final tokens.
+    (H/8 * W/8, C_3) each, likewise, so a block's image cross-attention
+    reads its own image's rows, a cross block `main`'s. Token attention runs
+    within each block; a cross block takes its queries from block `cond`'s
+    rows of the same layer's query projection, and adds its class bias.
+    Each sublayer, with its projections, is one node, and so is each add &
+    norm. Returns the final tokens.
     """
     cfg = params.config
     n, images = cfg.num_classes, len(features)
     blocks = images + len(cross)
-    c3, rows, cols = features[0].shape
     scale = 1.0 / math.sqrt(cfg.embed_dim // cfg.heads) if cfg.scaled_attention else None
-    memory = ag.concat_rows([ag.transpose(ag.reshape(f, (c3, rows * cols))) for f in features])
+    memory = ag.concat_rows(features)
     img_keys = list(range(images)) + [main for main, _, _ in cross]
-    pick = bias = None
+    queries = bias = None
     if cross:
         conds = list(range(images)) + [cond for _, cond, _ in cross]
-        pick = Tensor(np.kron(np.eye(blocks)[conds], np.eye(n)))
+        queries = (np.asarray(conds)[:, None] * n + np.arange(n)).reshape(-1)
         bias = np.zeros((blocks, n, n))
         bias[images:] = [class_bias.data for _, _, class_bias in cross]
     tokens = ag.concat_rows([params["query_embed"]] * blocks)
     for layer in range(cfg.decoder_layers):
-        p = f"dec.{layer}."
-        k_img = ag.matmul(memory, params[p + "ca.wk"])
-        v_img = ag.matmul(memory, params[p + "ca.wv"])
-        q = ag.matmul(tokens, params[p + "ca.wq"])
-        attn = ag.block_attention(q, k_img, v_img, img_keys, rows * cols, None, scale, cfg.heads)
-        tokens = _add_norm(params, p + "ln1", tokens, ag.matmul(attn, params[p + "ca.wo"]))
-        q = ag.matmul(tokens, params[p + "sa.wq"])
-        if pick is not None:
-            q = ag.matmul(pick, q)
-        k = ag.matmul(tokens, params[p + "sa.wk"])
-        v = ag.matmul(tokens, params[p + "sa.wv"])
-        attn = ag.block_attention(q, k, v, range(blocks), n, bias, scale, cfg.heads)
-        tokens = _add_norm(params, p + "ln2", tokens, ag.matmul(attn, params[p + "sa.wo"]))
-        h = ag.relu(ag.add(ag.matmul(tokens, params[p + "ffn.w1"]), params[p + "ffn.b1"]))
-        h = ag.add(ag.matmul(h, params[p + "ffn.w2"]), params[p + "ffn.b2"])
-        tokens = _add_norm(params, p + "ln3", tokens, h)
+        ca, ln1, sa, ln2, ffn, ln3 = ([params.tensors[f"dec.{layer}.{name}"] for name in names]
+                                      for names in _SUBLAYER_TENSORS)
+        attn = ag.block_attention(tokens, memory, *ca, img_keys, memory.shape[0] // images,
+                                  None, scale, cfg.heads)
+        tokens = ag.layernorm_lastdim(attn, tokens, *ln1)
+        attn = ag.block_attention(tokens, tokens, *sa, range(blocks), n, bias, scale, cfg.heads,
+                                  queries)
+        tokens = ag.layernorm_lastdim(attn, tokens, *ln2)
+        tokens = ag.layernorm_lastdim(ag.ffn(tokens, *ffn), tokens, *ln3)
     return tokens
 
 
@@ -275,16 +268,8 @@ def _forward(params, imgs, cross):
     # Each block's logits: its class rows times its image's pixel embeddings.
     n = params.config.num_classes
     owners = list(range(len(arrs))) + [main for main, _, _ in cross]
-    rows = [e_class]
-    if len(owners) > 1:
-        eye = np.eye(len(owners) * n)
-        rows = [ag.matmul(Tensor(eye[b * n:(b + 1) * n]), e_class) for b in range(len(owners))]
-    logits = []
-    for e_rows, owner in zip(rows, owners):
-        ce, h, w = e_pixels[owner].shape
-        out = ag.matmul(e_rows, ag.reshape(e_pixels[owner], (ce, h * w)))
-        logits.append(ag.bilinear_upsample2x(ag.reshape(out, (n, h, w))))
-    return logits
+    return [ag.block_logits(e_class, e_pixels[owner], slice(b * n, (b + 1) * n))
+            for b, owner in enumerate(owners)]
 
 
 def forward(params, imgs):
@@ -340,9 +325,12 @@ def label_maps(params, imgs, threshold=0.0):
     for x in logits:
         if not np.isfinite(x).all():
             raise NumericError("non-finite logits: the parameters overflow on this image")
-        pred = x.argmax(axis=0).astype(np.uint8)
+        pred, best = np.zeros(x.shape[1:], np.uint8), x[0]
+        for c in range(1, len(x)):  # argmax as a running max: a strict > keeps a tie's lowest id
+            pred[x[c] > best] = c
+            best = np.maximum(best, x[c])
         if threshold > 0.0:
-            shifted = np.exp(x - x.max(axis=0, keepdims=True))
+            shifted = np.exp(x - best)
             pred[shifted.max(axis=0) / shifted.sum(axis=0) < threshold] = ag.IGNORE_LABEL
         maps.append(pred)
     return maps

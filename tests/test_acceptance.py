@@ -117,8 +117,12 @@ def test_criterion_4_cacda_masking():
         if (sums[row_masked] != 0.0).any():
             masking_ok = False
 
-    empty = ag.block_attention(q, k, v, [0], n, bias=build_class_bias(n, set()).data[None])
-    plain = ag.block_attention(q, k, v, [0], n)
+    # The op with identity projections: the memory is [k | v], W_k and W_v pick its columns.
+    pick = np.eye(12)
+    mats = (q, Tensor(np.concatenate([k.data, v.data], axis=1)), Tensor(np.eye(6)),
+            Tensor(pick[:, :6]), Tensor(pick[:, 6:]), Tensor(np.eye(6)))
+    empty = ag.block_attention(*mats, [0], n, bias=build_class_bias(n, set()).data[None])
+    plain = ag.block_attention(*mats, [0], n)
     reduces = np.array_equal(empty.data, plain.data)
 
     model = ModelConfig(num_classes=n, embed_dim=8, decoder_layers=2,

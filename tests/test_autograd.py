@@ -85,39 +85,88 @@ class TestSoftmax:
         check_op_gradient(build, [(3, 4)], seed=3)
 
 
+def identity_projections(q, k, v):
+    """`block_attention`'s x, memory, wq, wk, wv and wo such that the op attends
+    with exactly the queries q, keys k and values v: the memory is [k | v],
+    and the projections pick or pass columns (0/1 products are exact)."""
+    q, k, v = (np.asarray(t.data if isinstance(t, Tensor) else t) for t in (q, k, v))
+    d, dv = k.shape[1], v.shape[1]
+    pick = np.eye(d + dv)
+    return (Tensor(q), Tensor(np.concatenate([k, v], axis=1)), Tensor(np.eye(q.shape[1])),
+            Tensor(pick[:, :d]), Tensor(pick[:, d:]), Tensor(np.eye(dv)))
+
+
+def attend(q, k, v, keys, key_rows, bias=None, scale=None, heads=1):
+    """`block_attention` on given queries, keys and values (identity projections)."""
+    return ag.block_attention(*identity_projections(q, k, v), keys, key_rows, bias, scale, heads)
+
+
 @st.composite
 def _attention_cases(draw):
-    """(keys, key_blocks, key_rows, n, heads, d, dv, bias, scale, seed): query blocks of n
-    rows on random, often shared, key blocks; the bias None, or with masked entries and
-    fully masked rows."""
+    """(keys, key_blocks, key_rows, n, heads, shapes, bias, scale, rows, seed): query blocks
+    of n rows on random, often shared, key blocks, through random projections; the bias None,
+    or with masked entries and fully masked rows; the query rows all of x's, a permutation of
+    them or a draw with repeats (as cross blocks take another block's rows)."""
     heads, key_blocks = draw(st.sampled_from([1, 2])), draw(st.integers(1, 3))
     keys = draw(st.lists(st.integers(0, key_blocks - 1), min_size=1, max_size=4))
     key_rows, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     d, dv = heads * draw(st.integers(1, 2)), heads * draw(st.integers(1, 2))
+    c_in, c_mem, c_out = (draw(st.integers(1, 3)) for _ in range(3))
     scale = draw(st.none() | st.floats(0.1, 2.0))
     seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed + 1)
     bias = None
     if draw(st.booleans()):
-        rng = np.random.default_rng(seed + 1)
         bias = rng.standard_normal((len(keys), n, key_rows))
         bias[rng.random(bias.shape) < 0.3] = ag.MASKED_SENTINEL
         bias[rng.random(bias.shape[:2]) < 0.3] = ag.MASKED_SENTINEL
-    return keys, key_blocks, key_rows, n, heads, d, dv, bias, scale, seed
+    q_rows = len(keys) * n
+    rows = draw(st.sampled_from([None, "permuted", "repeated"]))
+    if rows == "permuted":
+        rows = rng.permutation(q_rows)
+    elif rows == "repeated":
+        rows = rng.integers(0, q_rows, q_rows)
+    shapes = [(q_rows, c_in), (key_blocks * key_rows, c_mem), (c_in, d), (c_mem, d),
+              (c_mem, dv), (dv, c_out)]
+    return keys, key_blocks, key_rows, n, heads, shapes, bias, scale, rows, seed
 
 
 class TestBlockAttention:
-    # Each block on its own keys (no gather), then two blocks sharing one.
-    @example(case=([0, 1], 2, 2, 2, 2, 2, 2, None, None, 0))
-    @example(case=([1, 1], 2, 3, 2, 1, 2, 1, None, 0.5, 1))
+    # Each block on its own keys (no gather), then two blocks sharing one, then
+    # two blocks that both take the first block's query rows.
+    @example(case=([0, 1], 2, 2, 2, 2, [(4, 2), (4, 2), (2, 2), (2, 2), (2, 2), (2, 2)],
+                   None, None, None, 0))
+    @example(case=([1, 1], 2, 3, 2, 1, [(4, 3), (6, 1), (3, 2), (1, 2), (1, 1), (1, 2)],
+                   None, 0.5, None, 1))
+    @example(case=([0, 0], 1, 2, 2, 1, [(4, 2), (2, 2), (2, 2), (2, 2), (2, 2), (2, 1)],
+                   None, None, np.array([0, 1, 0, 1]), 2))
+    @given(case=_attention_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_gradient_fuzz(self, case):
+        keys, key_blocks, key_rows, n, heads, shapes, bias, scale, rows, seed = case
+        err = check_op(
+            lambda *ts: ag.block_attention(*ts, keys, key_rows, bias, scale, heads, rows),
+            shapes, np.random.default_rng(seed))
+        assert err < GATE, f"rel error {err}"
+
     @given(case=_attention_cases())
     @settings(max_examples=40, deadline=None)
-    def test_gradient_fuzz(self, case):
-        keys, key_blocks, key_rows, n, heads, d, dv, bias, scale, seed = case
-        err = check_op(
-            lambda q, k, v: ag.block_attention(q, k, v, keys, key_rows, bias, scale, heads),
-            [(len(keys) * n, d), (key_blocks * key_rows, d), (key_blocks * key_rows, dv)],
-            np.random.default_rng(seed))
-        assert err < GATE, f"rel error {err}"
+    def test_projections_and_query_rows_fold_into_attention(self, case):
+        # The op on (x, memory, projections, rows) equals the op on the projected
+        # queries, keys and values it computes, times W_o. The identity projections
+        # of `attend` are exact, so the attention outputs agree bit for bit; the
+        # last product may round apart, as BLAS picks its kernel by memory layout.
+        keys, key_blocks, key_rows, n, heads, shapes, bias, scale, rows, seed = case
+        rng = np.random.default_rng(seed)
+        x, mem, wq, wk, wv, wo = (rng.standard_normal(s) for s in shapes)
+        q = x @ wq if rows is None else (x @ wq)[rows]
+        a = attend(q, mem @ wk, mem @ wv, keys, key_rows, bias, scale, heads).data
+        ts = [Tensor(t) for t in (x, mem, wq, wk, wv, np.eye(len(wo)))]
+        assert np.array_equal(
+            ag.block_attention(*ts, keys, key_rows, bias, scale, heads, rows).data, a)
+        ts[-1] = Tensor(wo)
+        got = ag.block_attention(*ts, keys, key_rows, bias, scale, heads, rows).data
+        assert np.abs(got - a @ wo).max() <= 1e-15 * (np.abs(a) @ np.abs(wo)).max()
 
     @staticmethod
     def _reference(q, k, v, keys, key_rows, bias, scale):
@@ -136,7 +185,7 @@ class TestBlockAttention:
         keys = [1, 0, 1]
         bias = rng.standard_normal((3, 2, 4))
         bias[0, :, 2] = ag.MASKED_SENTINEL
-        out = ag.block_attention(Tensor(q), Tensor(k), Tensor(v), keys, 4, bias, 0.5)
+        out = attend(q, k, v, keys, 4, bias, 0.5)
         assert np.allclose(out.data, self._reference(q, k, v, keys, 4, bias, 0.5),
                            rtol=0.0, atol=1e-12)
 
@@ -145,14 +194,14 @@ class TestBlockAttention:
         q, k, v = (Tensor(rng.standard_normal((2, 3))) for _ in range(3))
         bias = np.zeros((1, 2, 2))
         bias[0, 1] = ag.MASKED_SENTINEL
-        out = ag.block_attention(q, k, v, [0], 2, bias)
+        out = attend(q, k, v, [0], 2, bias)
         assert np.array_equal(out.data[1], [0.0, 0.0, 0.0])
         assert np.abs(out.data[0]).max() > 0.0
 
     def test_nan_raises(self):
         q = Tensor(np.array([[np.nan, 0.0]]))
         with pytest.raises(NumericError):
-            ag.block_attention(q, Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), [0], 1)
+            attend(q, Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), [0], 1)
 
     @pytest.mark.parametrize("keys, key_rows, bias_shape", [
         ([2], 2, None),        # names a key block that does not exist
@@ -164,13 +213,26 @@ class TestBlockAttention:
         t = Tensor(np.ones((4, 2)))
         bias = None if bias_shape is None else np.zeros(bias_shape)
         with pytest.raises(DimensionError):
-            ag.block_attention(t, t, t, keys, key_rows, bias)
+            attend(t, t, t, keys, key_rows, bias)
+
+    @pytest.mark.parametrize("shapes, rows", [
+        ([(4, 3), (4, 2), (2, 2), (2, 2), (2, 2), (2, 2)], None),    # W_q does not take x
+        ([(4, 2), (4, 2), (2, 2), (3, 2), (2, 2), (2, 2)], None),    # W_k does not take memory
+        ([(4, 2), (4, 2), (2, 3), (2, 2), (2, 2), (2, 2)], None),    # Q and K widths differ
+        ([(4, 2), (4, 2), (2, 2), (2, 2), (2, 2), (3, 2)], None),    # W_o does not take V
+        ([(4, 2), (4, 2), (2, 2), (2, 2), (2, 2), (2, 2)], [0, 4]),  # a row x lacks
+        ([(4, 2), (4, 2), (2, 2), (2, 2), (2, 2), (2, 2)], [[0, 1]]),  # not a 1-D index
+    ])
+    def test_projection_and_row_errors(self, shapes, rows):
+        ts = [Tensor(np.ones(s)) for s in shapes]
+        with pytest.raises(DimensionError):
+            ag.block_attention(*ts, [0, 1], 2, rows=rows)
 
     def test_gradient_with_shared_key_block(self):
         bias = np.zeros((3, 2, 3))
         bias[1, 0] = ag.MASKED_SENTINEL
-        check_op_gradient(lambda q, k, v: ag.block_attention(q, k, v, [0, 0, 1], 3, bias),
-                          [(6, 4), (6, 4), (6, 2)], seed=6)
+        check_op_gradient(lambda *ts: ag.block_attention(*ts, [0, 0, 1], 3, bias),
+                          [(6, 4), (6, 4), (4, 4), (4, 4), (4, 2), (2, 3)], seed=6)
 
     @pytest.mark.parametrize("heads, channels", [
         (0, 4),  # no head
@@ -180,7 +242,64 @@ class TestBlockAttention:
     def test_head_count_errors(self, heads, channels):
         t = Tensor(np.ones((4, 4)))
         with pytest.raises(DimensionError):
-            ag.block_attention(t, t, Tensor(np.ones((4, channels))), [0, 1], 2, heads=heads)
+            attend(t, t, Tensor(np.ones((4, channels))), [0, 1], 2, heads=heads)
+
+
+class TestFfn:
+    @example(rows=1, c_in=1, hidden=1, c_out=1, seed=0)
+    @given(rows=st.integers(1, 4), c_in=st.integers(1, 4), hidden=st.integers(1, 6),
+           c_out=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_fuzz_and_primitive_reference(self, rows, c_in, hidden, c_out, seed):
+        shapes = [(rows, c_in), (c_in, hidden), (hidden,), (hidden, c_out), (c_out,)]
+        rng = np.random.default_rng(seed)
+        assert check_op(ag.ffn, shapes, rng) < GATE
+        ts = [Tensor(rng.standard_normal(s)) for s in shapes]
+        x, w1, b1, w2, b2 = ts
+        want = ag.add(ag.matmul(ag.relu(ag.add(ag.matmul(x, w1), b1)), w2), b2)
+        assert np.array_equal(ag.ffn(*ts).data, want.data)
+
+    @pytest.mark.parametrize("shapes", [
+        [(2, 3), (2, 4), (4,), (4, 2), (2,)],     # x does not take w1
+        [(2, 3), (3, 4), (3,), (4, 2), (2,)],     # b1 is not w1's width
+        [(2, 3), (3, 4), (4,), (3, 2), (2,)],     # w2 does not take the hidden rows
+        [(2, 3), (3, 4), (4,), (4, 2), (1, 2)],   # b2 is not a vector
+    ])
+    def test_shape_errors(self, shapes):
+        with pytest.raises(DimensionError):
+            ag.ffn(*(Tensor(np.ones(s)) for s in shapes))
+
+
+class TestBlockLogits:
+    @example(rows=1, lo=0, c=1, h=1, w=1, extra=0, seed=0)
+    @given(rows=st.integers(1, 4), lo=st.integers(0, 3), c=st.integers(1, 3),
+           h=st.integers(1, 4), w=st.integers(1, 4), extra=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_fuzz_and_primitive_reference(self, rows, lo, c, h, w, extra, seed):
+        # The rows lo:lo+rows of a token matrix with `extra` rows besides them.
+        block = slice(lo, lo + rows)
+        shapes = [(lo + rows + extra, c), (c, h, w)]
+        rng = np.random.default_rng(seed)
+        assert check_op(lambda t, p: ag.block_logits(t, p, block), shapes, rng) < GATE
+        tokens, pixels = (Tensor(rng.standard_normal(s)) for s in shapes)
+        product = ag.matmul(Tensor(tokens.data[block]), ag.reshape(pixels, (c, h * w)))
+        want = ag.bilinear_upsample2x(ag.reshape(product, (rows, h, w)))
+        assert np.array_equal(ag.block_logits(tokens, pixels, block).data, want.data)
+
+    def test_rows_outside_the_block_get_zero_gradient(self):
+        rng = np.random.default_rng(7)
+        tokens = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+        out = ag.block_logits(tokens, Tensor(rng.standard_normal((2, 3, 3))), slice(2, 4))
+        ag.backward(ag.matmul(ag.reshape(out, (1, -1)), Tensor(np.ones((out.size, 1)))))
+        assert not tokens.grad[:2].any() and not tokens.grad[4:].any()
+        assert tokens.grad[2:4].all()
+
+    @pytest.mark.parametrize("tokens, pixels", [((6, 3), (2, 3, 3)), ((6,), (6, 3, 3)),
+                                                ((6, 3), (3, 9))])
+    def test_shape_errors(self, tokens, pixels):
+        with pytest.raises(DimensionError):
+            ag.block_logits(Tensor(np.ones(tokens)), Tensor(np.ones(pixels)), slice(0, 2))
 
 
 @st.composite
@@ -351,32 +470,63 @@ class TestElementwise:
                        np.random.default_rng(seed))
         assert err < GATE, f"rel error {err}"
 
+    @given(maps=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1,
+                         max_size=4), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_concat_rows_of_pixel_maps(self, maps, cols, seed):
+        # (C, H, W) parts, mixed with a 2-D part when there are several: each map
+        # enters as its pixels' channel vectors, row by row, as a transposed reshape.
+        shapes = [(cols, h, w) for h, w in maps] + ([(2, cols)] if len(maps) > 1 else [])
+        parts = [np.random.default_rng(seed + i).standard_normal(s) for i, s in enumerate(shapes)]
+        want = np.concatenate([ag.transpose(ag.reshape(Tensor(p), (cols, -1))).data
+                               if p.ndim == 3 else p for p in parts])
+        assert np.array_equal(ag.concat_rows([Tensor(p) for p in parts]).data, want)
+        err = check_op(lambda *ps: ag.concat_rows(ps), shapes, np.random.default_rng(seed))
+        assert err < GATE, f"rel error {err}"
+
 
 class TestLayerNorm:
     def test_normalizes(self):
         rng = np.random.default_rng(15)
         x = Tensor(rng.standard_normal((4, 8)))
-        out = ag.layernorm_lastdim(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        out = ag.layernorm_lastdim(x, Tensor(np.zeros((4, 8))), Tensor(np.ones(8)),
+                                   Tensor(np.zeros(8)))
         assert np.all(np.abs(out.data.mean(axis=-1)) < 1e-12)
         assert np.all(np.abs(out.data.std(axis=-1) - 1.0) < 1e-3)
 
     def test_gradient(self):
-        check_op_gradient(ag.layernorm_lastdim, [(3, 6), (6,), (6,)], seed=16)
+        check_op_gradient(ag.layernorm_lastdim, [(3, 6), (3, 6), (6,), (6,)], seed=16)
 
     @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2), n=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_gradient_fuzz_and_mean_reference(self, lead, n, seed):
+        # The residual's gradient is the input's: one residual connection.
         rng = np.random.default_rng(seed)
         shape = (*lead, n)
-        err = check_op(ag.layernorm_lastdim, [shape, (n,), (n,)], rng)
+        err = check_op(ag.layernorm_lastdim, [shape, shape, (n,), (n,)], rng)
         assert err < GATE, f"rel error {err}"
-        x, gamma, beta = rng.standard_normal(shape), rng.standard_normal(n), rng.standard_normal(n)
-        centered = x - x.mean(axis=-1, keepdims=True)
+        x, res = rng.standard_normal(shape), rng.standard_normal(shape)
+        gamma, beta = rng.standard_normal(n), rng.standard_normal(n)
+        s = ag.add(Tensor(x), Tensor(res)).data
+        centered = s - s.mean(axis=-1, keepdims=True)
         var = (centered * centered).mean(axis=-1, keepdims=True)
         want = gamma * (centered * (1.0 / np.sqrt(var + 1e-5))) + beta
-        got = ag.layernorm_lastdim(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        got = ag.layernorm_lastdim(Tensor(x), Tensor(res), Tensor(gamma), Tensor(beta)).data
         assert np.array_equal(got, want)
+
+    def test_residual_gradient_equals_input_gradient(self):
+        rng = np.random.default_rng(17)
+        x, res = (Tensor(rng.standard_normal((3, 5)), requires_grad=True) for _ in range(2))
+        out = ag.layernorm_lastdim(x, res, Tensor(rng.standard_normal(5)), Tensor(np.zeros(5)))
+        ag.backward(ag.matmul(ag.reshape(out, (1, 15)), Tensor(rng.standard_normal((15, 1)))))
+        assert np.array_equal(x.grad, res.grad) and x.grad.any()
+
+    @pytest.mark.parametrize("residual, affine", [((3, 4), 5), ((5,), 5), ((3, 5), 4)])
+    def test_shape_errors(self, residual, affine):
+        with pytest.raises(DimensionError):
+            ag.layernorm_lastdim(Tensor(np.ones((3, 5))), Tensor(np.ones(residual)),
+                                 Tensor(np.ones(affine)), Tensor(np.ones(affine)))
 
 
 class TestBilinearUpsample:

@@ -45,10 +45,15 @@ def attention(q, k, v, scaled=False, bias=None, heads=1):
     """One query block on one key block, with an optional N x M bias Tensor.
 
     `scaled` divides the logits by the square root of a head's width, as a
-    `scaled_attention` network does.
+    `scaled_attention` network does. The op's projections are identities:
+    the memory is [k | v], and W_k and W_v pick its columns (exact products).
     """
     scale = 1.0 / np.sqrt(q.shape[1] // heads) if scaled else None
-    return ag.block_attention(q, k, v, [0], k.shape[0],
+    d, dv = k.shape[1], v.shape[1]
+    pick = np.eye(d + dv)
+    return ag.block_attention(q, Tensor(np.concatenate([k.data, v.data], axis=1)),
+                              Tensor(np.eye(q.shape[1])), Tensor(pick[:, :d]),
+                              Tensor(pick[:, d:]), Tensor(np.eye(dv)), [0], k.shape[0],
                               None if bias is None else bias.data[None], scale, heads)
 
 
@@ -481,6 +486,98 @@ class TestBatchedDecoder:
         for got, (main, cond, bias) in zip(batched, cross):
             want = forward_cross(params, [imgs[main], imgs[cond]], [(0, 1, bias)])[2]
             assert np.abs(got.data - want.data).max() <= 1e-12
+
+
+class TestForwardBits:
+    """`forward`, `forward_cross` and `label_maps` equal, bit for bit, a head that
+    the test builds from primitive ops (`matmul`, `softmax_lastdim`, a numpy layer
+    norm, `bilinear_upsample2x`) over one block and one head at a time, on the
+    trunk's features and pixel embeddings."""
+
+    @staticmethod
+    def _layer_norm(s, gamma, beta):
+        centered = s - s.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        return gamma.data * (centered * (1.0 / np.sqrt(var + 1e-5))) + beta.data
+
+    @staticmethod
+    def _attend(q, k, v, heads, scale, bias):
+        """One query block on one key block, head by head, joined along channels."""
+        d, outs = q.shape[1] // heads, []
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            # K^T as a transposed view, as the op reads it: BLAS may round a product
+            # of a transposed copy differently.
+            logits = ag.matmul(Tensor(q[:, cols]), Tensor(k[:, cols].T))
+            if scale is not None:
+                logits = ag.scale(logits, scale)
+            if bias is not None:
+                logits = ag.add(logits, bias)
+            outs.append(ag.matmul(ag.softmax_lastdim(logits), Tensor(v[:, cols])).data)
+        return np.concatenate(outs, axis=1)
+
+    def _reference(self, params, imgs, cross):
+        cfg = params.config
+        n, heads = cfg.num_classes, cfg.heads
+        scale = 1.0 / np.sqrt(cfg.embed_dim // heads) if cfg.scaled_attention else None
+        trunk = [segmodel._backbone_and_pixels(params, img) for img in imgs]
+        memory = np.concatenate([f.data.reshape(f.shape[0], -1).T for f, _ in trunk])
+        per_image = memory.shape[0] // len(imgs)
+        owners = list(range(len(imgs))) + [main for main, _, _ in cross]
+        conds = list(range(len(imgs))) + [cond for _, cond, _ in cross]
+        biases = [None] * len(imgs) + [bias for _, _, bias in cross]
+        tokens = np.concatenate([params["query_embed"].data] * len(owners))
+
+        def block(a, b, size=n):
+            return a[b * size:(b + 1) * size]
+
+        for layer in range(cfg.decoder_layers):
+            p = {name[len(f"dec.{layer}."):]: t for name, t in params.tensors.items()
+                 if name.startswith(f"dec.{layer}.")}
+            q, k, v = (ag.matmul(Tensor(src), p[name]).data for src, name in
+                       ((tokens, "ca.wq"), (memory, "ca.wk"), (memory, "ca.wv")))
+            a = np.concatenate([self._attend(block(q, b), block(k, o, per_image),
+                                             block(v, o, per_image), heads, scale, None)
+                                for b, o in enumerate(owners)])
+            tokens = self._layer_norm(ag.matmul(Tensor(a), p["ca.wo"]).data + tokens,
+                                      p["ln1.g"], p["ln1.b"])
+            q, k, v = (ag.matmul(Tensor(tokens), p[name]).data for name in
+                       ("sa.wq", "sa.wk", "sa.wv"))
+            a = np.concatenate([self._attend(block(q, c), block(k, b), block(v, b), heads,
+                                             scale, bias)
+                                for b, (c, bias) in enumerate(zip(conds, biases))])
+            tokens = self._layer_norm(ag.matmul(Tensor(a), p["sa.wo"]).data + tokens,
+                                      p["ln2.g"], p["ln2.b"])
+            h = ag.relu(ag.add(ag.matmul(Tensor(tokens), p["ffn.w1"]), p["ffn.b1"]))
+            h = ag.add(ag.matmul(h, p["ffn.w2"]), p["ffn.b2"])
+            tokens = self._layer_norm(h.data + tokens, p["ln3.g"], p["ln3.b"])
+        logits = []
+        for b, owner in enumerate(owners):
+            e_pixel = trunk[owner][1].data
+            ce, h, w = e_pixel.shape
+            product = ag.matmul(Tensor(block(tokens, b)), Tensor(e_pixel.reshape(ce, h * w)))
+            logits.append(ag.bilinear_upsample2x(ag.reshape(product, (n, h, w))).data)
+        return logits
+
+    @pytest.mark.parametrize("size", [16, 64])
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_passes_equal_the_primitive_reference(self, heads, scaled, size):
+        cfg = ModelConfig(heads=heads, scaled_attention=scaled)
+        params = init_params(cfg, seed=heads + 2 * scaled)
+        rng = np.random.default_rng(size + heads)
+        imgs = [rand_img(rng, size) for _ in range(3)]
+        cross = [(0, 2, build_class_bias(5, {1, 3})), (2, 2, build_class_bias(5, set())),
+                 (1, 0, build_class_bias(5, range(5)))]
+        for got, want in zip(forward(params, imgs), self._reference(params, imgs, [])):
+            assert np.array_equal(got.data, want)
+        want = self._reference(params, imgs, cross)
+        got = forward_cross(params, imgs, cross)
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            assert np.array_equal(g.data, w)
+        for labels, logits in zip(segmodel.label_maps(params, imgs), want):
+            assert np.array_equal(labels, logits.argmax(axis=0))
 
 
 class TestPredict:

@@ -466,7 +466,7 @@ class TestSharedTraces:
         from osseg import autograd, segmodel, trainer
 
         calls = {"forward": 0, "forward_cross": 0, "decoder": 0, "conv2d": 0, "matmul": 0,
-                 "bilinear_upsample2x": 0, "nodes": 0}
+                 "bilinear_upsample2x": 0, "block_attention": 0, "block_logits": 0, "nodes": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -497,7 +497,7 @@ class TestSharedTraces:
         monkeypatch.setattr(segmodel, "forward_cross", forward_cross)
         monkeypatch.setattr(trainer, "forward_cross", forward_cross)
         monkeypatch.setattr(segmodel, "_decoder", counting("decoder", segmodel._decoder))
-        for op in ("conv2d", "matmul", "bilinear_upsample2x"):
+        for op in ("conv2d", "matmul", "bilinear_upsample2x", "block_attention", "block_logits"):
             monkeypatch.setattr(autograd, op, counting(op, getattr(autograd, op)))
         monkeypatch.setattr(autograd, "backward", counting_backward)
         # The default network, so that matmul and node counts are those of
@@ -507,11 +507,14 @@ class TestSharedTraces:
 
     def test_full_step_builds_each_trace_once(self, monkeypatch):
         # The teacher's pseudo-label pass, then one student call over the
-        # pseudo-target and mixed crops and one cross block per sample.
+        # pseudo-target and mixed crops and one cross block per sample. The
+        # head makes no standalone matmul: each decoder sublayer is one op (two
+        # attention sublayers per layer), and so is each block's logits, with
+        # its upsample; `bilinear_upsample2x` is the trunk's alone.
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.OURS_PT_TO_INTERMEDIATE)
         assert self._count_calls(monkeypatch, cfg) == {
-            "forward": 1, "forward_cross": 1, "decoder": 2, "conv2d": 30, "matmul": 58,
-            "bilinear_upsample2x": 20, "nodes": 127,
+            "forward": 1, "forward_cross": 1, "decoder": 2, "conv2d": 30, "matmul": 0,
+            "bilinear_upsample2x": 12, "block_attention": 8, "block_logits": 8, "nodes": 63,
         }
 
     def test_variant_st_step_reuses_source_and_pt_traces(self, monkeypatch):
@@ -525,8 +528,8 @@ class TestSharedTraces:
     def test_supervised_step_counts(self, monkeypatch):
         cfg = quick_cfg(iterations=1, pairing=AttentionPairing.NONE, use_idr=False)
         assert self._count_calls(monkeypatch, cfg) == {
-            "forward": 1, "forward_cross": 0, "decoder": 1, "conv2d": 10, "matmul": 24,
-            "bilinear_upsample2x": 6, "nodes": 78,
+            "forward": 1, "forward_cross": 0, "decoder": 1, "conv2d": 10, "matmul": 0,
+            "bilinear_upsample2x": 4, "block_attention": 4, "block_logits": 2, "nodes": 36,
         }
 
     @pytest.mark.parametrize("pairing", sorted(PINNED_LOSSES))
