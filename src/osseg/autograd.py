@@ -39,6 +39,7 @@ MASKED_SENTINEL = -1e30
 MASK_THRESHOLD = -1e29
 
 IGNORE_LABEL = 255
+LAYERNORM_EPS = 1e-5
 
 _creation_counter = itertools.count()
 
@@ -385,7 +386,7 @@ def ffn(x, w1, b1, w2, b2):
     return _node(h @ w2.data + b2.data, ts, bw)
 
 
-def layernorm_lastdim(x, residual, gamma, beta, eps=1e-5):
+def layernorm_lastdim(x, residual, gamma, beta):
     """Layer normalization of x + residual over the last dimension with affine
     parameters: a residual connection and its norm, as one node."""
     x, residual, gamma, beta = map(_as_tensor, (x, residual, gamma, beta))
@@ -399,7 +400,7 @@ def layernorm_lastdim(x, residual, gamma, beta, eps=1e-5):
     mu = np.add.reduce(s, axis=-1, keepdims=True) / n
     centered = s - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = centered * inv
     data = gamma.data * xhat + beta.data
 
@@ -556,7 +557,7 @@ def cross_entropy_pixelwise(logits, label):
 
     logits: (N, H, W) tensor; label: (H, W) integer array with values in
     {0..N-1} or IGNORE_LABEL. Returns a scalar tensor; if every pixel is
-    ignored the loss is 0 with zero gradient.
+    ignored, the constant 0, which passes no gradient.
     """
     logits = _as_tensor(logits)
     if logits.data.ndim != 3:
@@ -576,9 +577,7 @@ def cross_entropy_pixelwise(logits, label):
     count = int(valid.sum())
     flat = logits.data.reshape(n, -1)
     if count == 0:
-        def bw_zero(g):
-            pass
-        return _node(np.zeros(()), (logits,), bw_zero)
+        return Tensor(np.zeros(()))
 
     m = flat.max(axis=0)
     lse = m + np.log(np.exp(flat - m).sum(axis=0))

@@ -97,8 +97,8 @@ def cmd_train(args):
     claim_outputs()  # every input is read: an output that names one fails before training
     teacher, log = trainer.train(cfg, data)
     save_checkpoint(args.out, teacher)
-    _write_csv(args.log, [["step", "l_pt", "l_idr", "l_cd", "l_total"]]
-               + [[step, repr(rep.l_pt), repr(rep.l_idr), repr(rep.l_cd), repr(rep.l_total)]
+    _write_csv(args.log, [["step", *(f.name for f in dataclasses.fields(trainer.LossReport))]]
+               + [[step, *("" if v is None else repr(v) for v in dataclasses.astuple(rep))]
                   for step, rep in enumerate(log)])
     return {**dataclasses.asdict(cfg), "pairing": cfg.pairing.value,
             **dataclasses.asdict(teacher.config)}
@@ -134,6 +134,8 @@ def cmd_eval(args):
         ) from exc
     params = load_checkpoint(args.ckpt)
     n = params.config.num_classes
+    if any(not 0 <= c < n for c in subset):
+        raise ArgumentError(f"--subset {args.subset} out of range for {n} classes")
     data = read_dataset(args.data_root, num_classes=n, domain_tag=DomainTag.TARGET)
     if not data:
         raise ArgumentError(f"{args.data_root}: manifest.txt lists no samples")

@@ -59,9 +59,8 @@ class DomainTag(Enum):
 
 @dataclass
 class SceneSpec:
-    num_classes: int = 5
     image_size: tuple = (64, 64)
-    palette: tuple = SOURCE_PALETTE
+    palette: tuple = SOURCE_PALETTE  # one colour per class id, so len(palette) classes
     texture_noise_sigma: float = 0.05
     layout_mode: LayoutMode = LayoutMode.OPEN_FIELD
     seed: int = 0
@@ -70,10 +69,8 @@ class SceneSpec:
         if isinstance(self.layout_mode, str):
             self.layout_mode = LayoutMode(self.layout_mode)
         self.palette = tuple(tuple(float(v) for v in c) for c in self.palette)
-        if len(self.palette) != self.num_classes:
-            raise ArgumentError(
-                f"palette has {len(self.palette)} entries for {self.num_classes} classes"
-            )
+        if len(self.palette) < 2:
+            raise ArgumentError(f"palette has {len(self.palette)} colours; sky and ground need 2")
         if self.texture_noise_sigma < 0:
             raise ArgumentError("texture_noise_sigma must be >= 0")
         if any(s < 8 or s % 8 for s in self.image_size):
@@ -114,11 +111,12 @@ def _generate_label(spec, rng):
     label[:horizon] = SKY
     label[horizon:] = GROUND
 
-    if spec.num_classes <= 2:
+    num_classes = len(spec.palette)
+    if num_classes <= 2:
         return label
 
     # Vegetation first so later structures stay fully visible.
-    if spec.num_classes > VEGETATION:
+    if num_classes > VEGETATION:
         for _ in range(int(rng.integers(1, 3))):
             cy = int(rng.integers(horizon, h - 2))
             cx = int(rng.integers(0, w))
@@ -138,7 +136,7 @@ def _generate_label(spec, rng):
         _paint_rect(label, r0, c0, bh + depth, bw, BUILDING)
         buildings.append((r0, c0, bh + depth, bw))
 
-    if spec.num_classes > VEHICLE:
+    if num_classes > VEHICLE:
         vh = int(rng.integers(max(3, h // 12), max(4, h // 8)))
         vw = int(rng.integers(max(4, w // 7), max(5, w // 4)))
         for _ in range(2):

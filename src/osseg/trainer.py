@@ -135,12 +135,11 @@ class AdamW:
     parameters move.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
+
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
@@ -313,10 +312,10 @@ def train_step(student, teacher, batch_src, batch_pt, batch_acceptor, rng, cfg,
         try:
             total, report = step_loss(student, teacher, batch_src, batch_pt, batch_acceptor,
                                       rng, cfg)
-            for term in ("l_pt", "l_idr", "l_cd", "l_total"):
-                value = getattr(report, term)
-                if not math.isfinite(value):
-                    raise TrainingError(f"step {step}: loss term {term} is non-finite ({value})")
+            for f in fields(report):
+                value = getattr(report, f.name)
+                if value is not None and not math.isfinite(value):
+                    raise TrainingError(f"step {step}: loss term {f.name} is non-finite ({value})")
             student.zero_grad()
             ag.backward(total)
             if not np.isfinite(student.grad).all():

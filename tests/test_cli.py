@@ -219,8 +219,22 @@ class TestMix:
 class TestTrain:
     def test_log_format(self, pipeline):
         lines = (pipeline / "train.csv").read_text().strip().splitlines()
-        assert lines[0] == "step,l_pt,l_idr,l_cd,l_total"
+        assert lines[0] == "step,l_pt,l_idr,l_cd,l_total,l_src"
         assert len(lines) == 16
+        assert all(line.endswith(",") for line in lines[1:])  # no l_src without variant_st
+
+    def test_variant_st_log_terms_sum_to_total(self, pipeline, tmp_path):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("iterations = 4\nseed = 5\nlambda_cd = 0.5\npairing = variant_st\n")
+        log = tmp_path / "train.csv"
+        assert run("train", "--config", str(cfgfile), "--data-root", str(pipeline / "data"),
+                   "--out", str(tmp_path / "c.osseg"), "--log", str(log)) == 0
+        rows = log.read_text().strip().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            _, l_pt, l_idr, l_cd, l_total, l_src = map(float, row.split(","))
+            assert l_src > 0
+            assert abs(l_pt + l_idr + 0.5 * l_cd + l_src - l_total) <= 1e-12
 
     def test_checkpoint_loads(self, pipeline):
         params = load_checkpoint(pipeline / "ckpt.osseg")
@@ -461,6 +475,20 @@ class TestEval:
                    str(tmp_path), "--out", str(tmp_path / "r.csv")) == 2
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path}: every label pixel is 255 (ignore)\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("subset", ["9", "0,5", "-1"])
+    def test_out_of_range_subset_fails_before_any_forward_pass(self, pipeline, tmp_path,
+                                                                capsys, monkeypatch, subset):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(cli, "label_maps", no_forward)
+        assert run("eval", "--ckpt", str(pipeline / "ckpt.osseg"), "--data-root",
+                   str(pipeline / "data" / "targets"), "--subset", subset,
+                   "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --subset {subset} out of range for 5 classes\n"
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("subset", ["a", "0,,1", "1.5"])

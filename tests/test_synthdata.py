@@ -39,7 +39,7 @@ class TestGeneration:
 
     def test_zero_noise_sky_is_exact_palette(self):
         palette = ((0.2, 0.4, 0.6), (0.8, 0.7, 0.1))
-        spec = SceneSpec(num_classes=2, palette=palette, texture_noise_sigma=0.0, seed=5)
+        spec = SceneSpec(palette=palette, texture_noise_sigma=0.0, seed=5)
         sample = generate_dataset(spec, 1)[0]
         sky = sample.label == 0
         assert sky.any()
@@ -117,8 +117,17 @@ class TestGeneration:
         assert dense_d < open_d
 
     def test_palette_size_checked(self):
-        with pytest.raises(ArgumentError):
-            SceneSpec(num_classes=3, palette=SOURCE_PALETTE)
+        # Sky and ground are always painted, so they need a colour each.
+        for colours in (0, 1):
+            with pytest.raises(ArgumentError, match="sky and ground need 2"):
+                SceneSpec(palette=SOURCE_PALETTE[:colours])
+
+    @pytest.mark.parametrize("colours", [2, 3, 4, 5])
+    def test_label_ids_below_palette_length(self, colours):
+        for layout in LayoutMode:
+            spec = SceneSpec(palette=SOURCE_PALETTE[:colours], layout_mode=layout, seed=colours)
+            labels = np.stack([s.label for s in generate_dataset(spec, 20)])
+            assert labels.max() == colours - 1
 
 
 class TestRasterIO:
